@@ -306,8 +306,13 @@ def irreducible_components(
 
 def _snap_to_grid(root: float, grid: np.ndarray, tol: float) -> float:
     """Interpolated roots within tol of an atom are that atom: the potential
-    difference kinks there, so the atom is the exact touch point."""
-    k = int(np.argmin(np.abs(grid - root)))
+    difference kinks there, so the atom is the exact touch point.
+
+    The nearest atom is one of the two neighbours of root in the sorted grid;
+    a tie goes to the lower one."""
+    k = int(np.searchsorted(grid, root))
+    if k == grid.size or (k > 0 and root - grid[k - 1] <= grid[k] - root):
+        k -= 1
     return float(grid[k]) if abs(float(grid[k]) - root) <= tol else root
 
 
@@ -407,7 +412,8 @@ def lower_convex_envelope(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> Piecewi
     pad = 1.0 + float(grid[-1] - grid[0])
     grid = np.concatenate(([grid[0] - pad], grid, [grid[-1] + pad]))
     vals = np.minimum(f(grid), g(grid))
-    hull_x, hull_y = _lower_hull(grid, vals)
+    hull = _lower_hull(grid, vals)
+    hull_x, hull_y = grid[hull], vals[hull]
     # strip the sentinels; they only fix the +-1 tail slopes
     keep = slice(1, -1) if hull_x.size > 2 else slice(0, 0)
     bp, vv = hull_x[keep], hull_y[keep]
@@ -425,20 +431,23 @@ def _require_potential_shape(*fns: PiecewiseLinearFn):
             raise ValueError("operation requires potential-shaped functions")
 
 
-def _lower_hull(x: np.ndarray, y: np.ndarray):
-    """Lower convex hull of points sorted by x (strict turns only)."""
-    hx, hy = [], []
-    for xi, yi in zip(x, y):
+def _lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the lower convex hull vertices of points sorted by x (strict
+    turns only); one monotone-chain pass, the first and last point included."""
+    hx, hy, idx = [], [], []
+    for k, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
         while len(hx) >= 2:
             cross = (hx[-1] - hx[-2]) * (yi - hy[-2]) - (xi - hx[-2]) * (hy[-1] - hy[-2])
             if cross <= 0.0:  # middle point above or on the chord: drop it
                 hx.pop()
                 hy.pop()
+                idx.pop()
             else:
                 break
-        hx.append(float(xi))
-        hy.append(float(yi))
-    return np.array(hx), np.array(hy)
+        hx.append(xi)
+        hy.append(yi)
+        idx.append(k)
+    return np.array(idx)
 
 
 def _drop_collinear(bp: np.ndarray, vals: np.ndarray, left: float, right: float):

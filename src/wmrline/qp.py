@@ -5,6 +5,8 @@ Solves   min 1/2 x^T H x + c^T x
 
 starting from a feasible point. H must be positive semidefinite; all linear
 algebra is dense numpy, sized for desk-scale problems (a few hundred rows).
+The weak transport solve does not use it: it serves the Euclidean
+projection onto the admissible set and the tests, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -241,60 +243,3 @@ def kkt_residual(H, c, A_eq, b_eq, A_in, b_in, x, lam_eq, lam_in) -> float:
         parts.append(float(np.abs(lam_in * slack).max(initial=0.0)))
         parts.append(max(0.0, float(-lam_in.min(initial=0.0))))
     return float(max(parts))
-
-
-def nnls(C, d, tol=None, max_iter=None) -> np.ndarray:
-    """Lawson-Hanson nonnegative least squares: argmin_{z >= 0} |C z - d|_2."""
-    C = np.asarray(C, dtype=float)
-    d = np.asarray(d, dtype=float)
-    m = C.shape[1]
-    if tol is None:
-        tol = 1e-11 * max(1.0, float(np.abs(C).max(initial=0.0))) * max(
-            1.0, float(np.abs(d).max(initial=0.0))
-        )
-    if max_iter is None:
-        max_iter = 3 * m + 30
-    passive = np.zeros(m, dtype=bool)
-    z = np.zeros(m)
-    for _ in range(max_iter):
-        w = C.T @ (d - C @ z)
-        w[passive] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= tol:
-            break
-        passive[j] = True
-        while True:
-            zp = np.zeros(m)
-            cols = np.flatnonzero(passive)
-            zp[cols] = np.linalg.lstsq(C[:, cols], d, rcond=None)[0]
-            if zp[cols].min(initial=1.0) > 0.0:
-                z = zp
-                break
-            bad = cols[zp[cols] <= 0.0]
-            ratios = z[bad] / (z[bad] - zp[bad])
-            alpha = float(ratios.min())
-            z = z + alpha * (zp - z)
-            passive[np.abs(z) <= 1e-15] = False
-            z[~passive] = 0.0
-    return z
-
-
-def stationarity_residual(grad, A_eq, A_in, active_rows) -> float:
-    """Best-fit KKT stationarity gap at a point with the given active rows.
-
-    Finds multipliers (free for equalities, nonnegative for active
-    inequalities) minimizing |grad - A^T lambda|; equality multipliers are
-    freed by splitting them into positive and negative parts.
-    """
-    blocks = []
-    if A_eq.size:
-        blocks.append(A_eq)
-        blocks.append(-A_eq)
-    if len(active_rows):
-        blocks.append(A_in[active_rows])
-    if not blocks:
-        return float(np.abs(grad).max(initial=0.0))
-    A = np.vstack(blocks)
-    lam = nnls(A.T, np.asarray(grad, dtype=float))
-    gap = grad - A.T @ lam
-    return float(np.abs(gap).max(initial=0.0))

@@ -6,10 +6,17 @@ For discrete mu, nu the problem is
     over       t_1 <= ... <= t_n  with  t(mu) <=_c nu,
 
 where t(mu) is the image measure of mu under atom_i -> t_i. With equal means,
-t(mu) <=_c nu is equivalent to finitely many linear partial-sum constraints in
-quantile space, so the quadratic cost is a convex QP with diagonal Hessian.
-The optimal map does not depend on the (strictly convex) cost, which makes the
-quadratic solution a certified warm start for all other costs.
+t(mu) <=_c nu is equivalent to the partial-sum constraints
+sum_{j<=k} p_j t_j >= G_nu(c_k) at mu's cumulative levels c_k, where G_nu is
+the integral of nu's quantile function. Writing h_k = G_nu(c_k) -
+sum_{j<=k} p_j x_j, the optimal displacement partial sums form the least
+concave majorant of the points (c_k, h_k) (the convex-order projection on
+the line of Alfonsi, Corbetta & Jourdain), so block i moves by the slope of
+that majorant over it. One monotone-chain pass gives the map in O(n), for
+every strictly convex cost at once: its slopes do not increase, so the map
+is increasing and 1-Lipschitz with slope 1 where the majorant is straight.
+Optimality is certified per cost by closed-form KKT multipliers computed
+from the map alone.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .measures import (
     ORDER_TOL,
     DiscreteMeasure,
     Interval,
+    _lower_hull,
     convex_order_leq,
     irreducible_components,
     mean,
@@ -181,13 +189,14 @@ class WeakSolution:
 # ---------------------------------------------------------------------------
 
 
-def _quantile_integral(nu: DiscreteMeasure, s: np.ndarray) -> np.ndarray:
-    """G(s) = int_0^s F_nu^{-1}(u) du, piecewise linear with kinks at nu's levels."""
+def _quantile_integral(nu: DiscreteMeasure, s: np.ndarray, origin: float = 0.0) -> np.ndarray:
+    """G(s) = int_0^s (F_nu^{-1}(u) - origin) du, piecewise linear with kinks at nu's levels."""
     cum = np.concatenate(([0.0], nu.cumulative()))
-    seg = np.concatenate(([0.0], np.cumsum(np.diff(cum) * nu.atoms)))
+    atoms = nu.atoms - origin
+    seg = np.concatenate(([0.0], np.cumsum(np.diff(cum) * atoms)))
     j = np.searchsorted(cum, s, side="left")
     j = np.clip(j, 1, nu.n)
-    return seg[j - 1] + (s - cum[j - 1]) * nu.atoms[j - 1]
+    return seg[j - 1] + (s - cum[j - 1]) * atoms[j - 1]
 
 
 def transport_polyhedron(mu: DiscreteMeasure, nu: DiscreteMeasure, lipschitz: bool = False):
@@ -197,7 +206,8 @@ def transport_polyhedron(mu: DiscreteMeasure, nu: DiscreteMeasure, lipschitz: bo
     mu and nu: both sides of the partial quantile-integral inequality are
     piecewise linear in the level with kinks only there. With lipschitz=True
     the rows t_{i+1} - t_i <= dx_i are added, which restricts the set to the
-    values of admissible (increasing 1-Lipschitz) maps.
+    values of admissible (increasing 1-Lipschitz) maps. Dense, O(n(n+m)):
+    only the projection, the grid oracle and the tests use it.
     """
     n = mu.n
     cmu = np.concatenate(([0.0], mu.cumulative()))
@@ -232,17 +242,52 @@ def transport_polyhedron(mu: DiscreteMeasure, nu: DiscreteMeasure, lipschitz: bo
     return A_eq, b_eq, A_in, b_in
 
 
-def _block_average_start(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    """Average of nu's quantile function over each mu weight block: always feasible."""
-    cmu = np.concatenate(([0.0], mu.cumulative()))
-    G = _quantile_integral(nu, cmu)
-    return np.diff(G) / mu.weights
+def _order_slack(mu: DiscreteMeasure, nu: DiscreteMeasure, t: np.ndarray) -> np.ndarray:
+    """Slack of t(mu) <=_c nu at mu's levels c_0 = 0, ..., c_n = 1:
+    sum_{j<=k} p_j t_j - G_nu(c_k), in coordinates centred on nu's first atom
+    so that wide offsets cancel before the partial sums are formed.
+
+    t(mu) <=_c nu iff slack_k >= 0 for k < n and slack_n = 0 (equal means).
+    Between two levels the slack is linear minus convex, hence concave, so
+    nu's levels need no rows of their own.
+    """
+    origin = float(nu.atoms[0])
+    c = np.concatenate(([0.0], mu.cumulative()))
+    partial = np.concatenate(([0.0], np.cumsum(mu.weights * (t - origin))))
+    return partial - _quantile_integral(nu, c, origin)
 
 
-def _feasible(t, A_eq, b_eq, A_in, b_in, tol) -> bool:
-    ok_eq = np.abs(A_eq @ t - b_eq).max(initial=0.0) <= tol
-    ok_in = (A_in @ t - b_in).min(initial=0.0) >= -tol if A_in.size else True
-    return bool(ok_eq and ok_in)
+def _majorant_slopes(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Slope on each block (c_{i-1}, c_i] of the least concave majorant of the
+    points (c_k, h_k), taken from the hull segment that covers the block."""
+    v = _lower_hull(c, -h)
+    seg = (h[v[1:]] - h[v[:-1]]) / (c[v[1:]] - c[v[:-1]])
+    return np.repeat(seg, np.diff(v))
+
+
+def kkt_residual(mu: DiscreteMeasure, nu: DiscreteMeasure, t, cost: CostSpec) -> float:
+    """Closed-form KKT certificate of map values t for the cost theta, in O(n).
+
+    The rows are the order constraints at mu's levels and the mean. Dividing
+    stationarity by p_i leaves -theta'(x_i - t_i) = sum_{k>=i} lambda_k + const,
+    so the multipliers are lambda_k = theta'(d_{k+1}) - theta'(d_k) with
+    d = x - t, and stationarity holds by construction. The residual is the
+    largest of: the mean error, a negative slack, a negative multiplier,
+    |lambda_k * slack_k|, and any decrease of t (monotonicity has no row: a
+    KKT point of the relaxed problem that is monotone solves the full one).
+    """
+    t = np.asarray(t, dtype=float)
+    slack = _order_slack(mu, nu, t)
+    inner = slack[1:-1]
+    lam = np.diff(cost.deriv(mu.atoms - t))
+    parts = (
+        abs(float(slack[-1])),
+        -float(inner.min(initial=0.0)),
+        -float(lam.min(initial=0.0)),
+        float(np.abs(lam * inner).max(initial=0.0)),
+        -float(np.diff(t).min(initial=0.0)),
+    )
+    return max(0.0, *parts)
 
 
 def solve_weak_transport(
@@ -250,30 +295,29 @@ def solve_weak_transport(
 ) -> WeakSolution:
     """Minimize sum_i p_i theta(x_i - t_i) over monotone t with t(mu) <=_c nu.
 
-    The quadratic cost is solved by a dense active-set QP with KKT
-    verification. Other strictly convex costs share the same optimizer, so
-    they reuse the quadratic solution as a warm start and refine it by
-    projected gradient steps, keeping the best iterate by value. For the
-    non-strict |x| cost the canonical quadratic map is returned as an
-    optimizer (optimality still holds; uniqueness does not), certified by
-    the quadratic solve's residual.
+    With c_k mu's cumulative levels and h_k = G_nu(c_k) - sum_{j<=k} p_j x_j,
+    block i moves by the slope of the least concave majorant of (c_k, h_k)
+    over it: t_i = x_i + slope. The map is the same for every strictly convex
+    cost; only the value depends on theta. When h <= 0 with h_n = 0 (to
+    1e-12 * scale), mu <=_c nu and t = x exactly, with residual 0.
+
+    The reported residual is kkt_residual() of t under the cost, computed
+    from t and the measures alone. The non-strict |x| cost has no unique
+    optimizer; it gets the same map, certified with the quadratic multipliers.
     """
     cost = cost or CostSpec.quadratic()
     x, p = mu.atoms, mu.weights
     scale = support_scale(mu, nu)
-    A_eq, b_eq, A_in, b_in = transport_polyhedron(mu, nu)
+    h = -_order_slack(mu, nu, x)
 
-    if _feasible(x, A_eq, b_eq, A_in, b_in, 1e-12 * scale):
+    if h.max() <= 1e-12 * scale and abs(h[-1]) <= 1e-12 * scale:
         # mu <=_c nu: the unconstrained optimum t = x is feasible, value theta(0)
         t = x.copy()
         residual = 0.0
     else:
-        H = np.diag(2.0 * p)
-        c = -2.0 * p * x
-        res = qp.solve_qp(H, c, A_eq, b_eq, A_in, b_in, _block_average_start(mu, nu))
-        t, residual = res.x, res.kkt_residual
-        if cost.kind != "quadratic" and cost.strictly_convex:
-            t, residual = _refine_non_quadratic(cost, x, p, t, A_eq, b_eq, A_in, b_in, scale)
+        c = np.concatenate(([0.0], mu.cumulative()))
+        t = x + _majorant_slopes(c, h)
+        residual = kkt_residual(mu, nu, t, cost if cost.strictly_convex else CostSpec.quadratic())
 
     value = float(np.dot(p, cost.value(x - t)))
     push = pushforward(mu, t)
@@ -286,51 +330,6 @@ def solve_weak_transport(
         kkt_residual=float(residual),
         cost=cost,
     )
-
-
-def _refine_non_quadratic(cost, x, p, t0, A_eq, b_eq, A_in, b_in, scale, max_iter=200):
-    """Projected gradient refinement from the quadratic warm start.
-
-    Each projection is itself an active-set QP (identity Hessian). The warm
-    start is already the common optimizer across strictly convex costs, so the
-    loop usually certifies stationarity after one projection; the best iterate
-    by value is always kept.
-    """
-
-    def f(t):
-        return float(np.dot(p, cost.value(x - t)))
-
-    def grad(t):
-        return -p * cost.deriv(x - t)
-
-    t_best, f_best = t0.copy(), f(t0)
-    t = t0.copy()
-    g0 = max(1.0, float(np.abs(grad(t0)).max()))
-    step0 = 0.1 * scale / g0
-    n = x.size
-    for k in range(1, max_iter + 1):
-        z = t - (step0 / k) * grad(t)
-        proj = qp.solve_qp(np.eye(n), -z, A_eq, b_eq, A_in, b_in, t)
-        moved = float(np.abs(proj.x - t).max())
-        t = proj.x
-        if f(t) < f_best - 1e-15 * max(1.0, abs(f_best)):
-            t_best, f_best = t.copy(), f(t)
-        if moved <= 1e-12 * scale:
-            break
-    active = _active_rows(t_best, A_in, b_in, 1e-9 * scale)
-    residual = qp.stationarity_residual(grad(t_best), A_eq, A_in, active)
-    feas = max(
-        float(np.abs(A_eq @ t_best - b_eq).max(initial=0.0)),
-        max(0.0, float(-(A_in @ t_best - b_in).min(initial=0.0))) if A_in.size else 0.0,
-    )
-    return t_best, max(residual, feas)
-
-
-def _active_rows(t, A_in, b_in, tol):
-    if not A_in.size:
-        return []
-    slack = A_in @ t - b_in
-    return [int(i) for i in np.flatnonzero(slack <= tol)]
 
 
 def weak_monotone_rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WeakSolution:

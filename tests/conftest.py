@@ -51,6 +51,29 @@ def random_contraction_of(rng, m: DiscreteMeasure) -> DiscreteMeasure:
     return out
 
 
+def mix_pair(rng, n, m):
+    """mu atoms U(-3,3) and Dirichlet(1) weights, then nu atoms U(-2,2) and
+    Dirichlet(1) weights, drawn in that order; each measure is sorted and its
+    weights renormalised."""
+    x, p = rng.uniform(-3.0, 3.0, n), rng.dirichlet(np.ones(n))
+    y, q = rng.uniform(-2.0, 2.0, m), rng.dirichlet(np.ones(m))
+    out = []
+    for a, w in ((x, p), (y, q)):
+        order = np.argsort(a)
+        out.append(DiscreteMeasure(a[order], w[order] / w.sum()))
+    return tuple(out)
+
+
+def nth_mix_pair(seed, index, sizes):
+    """The index-th pair (counting from 1) of mix_pair draws from
+    default_rng(seed); draw k has n = m = sizes[(k - 1) % len(sizes)]."""
+    rng = np.random.default_rng(seed)
+    for k in range(index):
+        n = sizes[k % len(sizes)]
+        pair = mix_pair(rng, n, n)
+    return pair
+
+
 def random_ordered_pair(rng, max_atoms=10, span=3.0):
     nu = random_measure(rng, max_atoms, span)
     eta = random_contraction_of(rng, nu)

@@ -31,7 +31,7 @@ from wmrline import (
 )
 from wmrline.martingale import parse_coupling_csv
 
-from conftest import dirac, dm, random_measure, random_ordered_pair
+from conftest import dirac, dm, nth_mix_pair, random_measure, random_ordered_pair
 
 
 class TestCouplingTypes:
@@ -169,6 +169,22 @@ class TestDecomposeMartingale:
         bad = Coupling(nu, nu, np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5]))
         with pytest.raises(StructureError):
             decompose_martingale(bad)
+
+
+class TestPipelineRegressions:
+    @pytest.mark.parametrize("seed,index", [(4, 13), (2, 6)])
+    def test_solve_couple_compose_certify_decompose(self, seed, index):
+        # a map off the exact rearrangement made the coupling miss its row
+        # sums on (4, 13) and move fixed mass on (2, 6)
+        mu, nu = nth_mix_pair(seed, index, (20,))
+        cost = CostSpec.quadratic()
+        sol = solve_weak_transport(mu, nu, cost)
+        mg = build_martingale_coupling(sol.pushforward, nu)
+        pi = compose_with_map(mu, sol.map, mg)
+        assert optimality_certificate(pi, mu, nu, cost).ok
+        dec = decompose_martingale(mg)
+        assigned = np.concatenate([dec.fixed, *(idx for _, idx in dec.components)])
+        assert np.array_equal(np.sort(assigned), np.arange(mg.mass.size))
 
 
 class TestBarycenterMap:

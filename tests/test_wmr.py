@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmrline import (
     CostSpec,
@@ -23,8 +27,12 @@ from wmrline import (
     wasserstein,
     weak_monotone_rearrangement,
 )
+from wmrline import qp
+from wmrline.wmr import kkt_residual, transport_polyhedron
 
-from conftest import dirac, dm, random_measure
+from conftest import dirac, dm, mix_pair, nth_mix_pair, random_measure
+
+COSTS = (CostSpec.quadratic(), CostSpec.quartic(), CostSpec.power(3.0))
 
 
 class TestCostSpec:
@@ -320,3 +328,134 @@ class TestSmoothStrictify:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(DomainError):
             smooth_strictify(MonotoneMap.identity(np.array([0.0, 1.0])), 0.0)
+
+
+def _assert_certified(mu, nu, cost=None):
+    sol = solve_weak_transport(mu, nu, cost)
+    s = support_scale(mu, nu)
+    assert sol.kkt_residual <= 1e-8 * s
+    assert verify_admissible(sol.map, mu, nu).ok
+    return sol
+
+
+class TestHullRegressions:
+    def test_pair_that_cycled_the_active_set_qp(self):
+        mu, nu = nth_mix_pair(3, 43, (75,))
+        start = time.perf_counter()
+        _assert_certified(mu, nu)
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("cost", COSTS, ids=lambda c: c.kind + str(c.rho))
+    def test_pair_whose_qp_answer_left_the_convex_order(self, cost):
+        mu, nu = nth_mix_pair(24, 55, (10, 12, 14))
+        assert mu.n == nu.n == 10
+        _assert_certified(mu, nu, cost)
+
+
+class TestHullAgainstQp:
+    def test_matches_the_active_set_qp(self):
+        # the dense QP on the full polyhedron (mu's and nu's levels plus the
+        # monotonicity rows) is an independent oracle: the hull must not make
+        # theta-independence true by construction
+        rng = np.random.default_rng(1808)
+        for k in range(120):
+            n, m = (int(v) for v in rng.integers(1, 31, 2))
+            mu, nu = mix_pair(rng, n, m)
+            if k % 3 == 0:
+                nu = nu.shift(float(rng.uniform(-1.0, 1.0)))
+            s = support_scale(mu, nu)
+            A_eq, b_eq, A_in, b_in = transport_polyhedron(mu, nu)
+            p, x = mu.weights, mu.atoms
+            start = np.full(mu.n, mean(nu))  # the constant map is always feasible
+            res = qp.solve_qp(np.diag(2.0 * p), -2.0 * p * x, A_eq, b_eq, A_in, b_in, start)
+            t = solve_weak_transport(mu, nu).map(x)
+            assert np.abs(res.x - t).max() <= 1e-9 * s
+
+    def test_costs_share_the_map_and_keep_their_values(self, rng):
+        for _ in range(10):
+            mu, nu = mix_pair(rng, 12, 9)
+            base = solve_weak_transport(mu, nu)
+            x, t = mu.atoms, base.map.knots_t
+            for cost in COSTS[1:]:
+                alt = _assert_certified(mu, nu, cost)
+                assert np.array_equal(alt.map.knots_t, t)
+                assert alt.value == pytest.approx(float(np.dot(mu.weights, cost.value(x - t))))
+
+
+class TestCertificate:
+    def test_nudged_map_fails(self, rng):
+        cost = CostSpec.quadratic()
+        for _ in range(20):
+            mu, nu = mix_pair(rng, 8, 8)
+            s = support_scale(mu, nu)
+            t = solve_weak_transport(mu, nu).map(mu.atoms)
+            assert kkt_residual(mu, nu, t, cost) <= 1e-8 * s
+            i = int(rng.integers(1, mu.n - 1))
+            nudged = t.copy()
+            nudged[i] += 1e-5
+            nudged -= 1e-5 * mu.weights[i]  # keeps the mean
+            assert abs(np.dot(mu.weights, nudged - t)) <= 1e-15
+            assert kkt_residual(mu, nu, nudged, cost) > 1e-8 * s
+
+    def test_shifted_map_fails_on_the_mean(self):
+        mu, nu = dm([-2, 2]), dm([-1, 1])
+        assert kkt_residual(mu, nu, np.array([-1.0, 1.0]), CostSpec.quadratic()) == 0.0
+        assert kkt_residual(mu, nu, np.array([-0.9, 1.1]), CostSpec.quadratic()) >= 0.1 - 1e-12
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _weights(rng, n):
+    return rng.dirichlet(np.ones(n))
+
+
+class TestHullProperties:
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        clusters=st.integers(1, 5),
+        per_cluster=st.integers(1, 6),
+        log_gap=st.floats(-10.0, -6.0),
+    )
+    def test_clustered_target_atoms(self, seed, n, clusters, per_cluster, log_gap):
+        rng = np.random.default_rng(seed)
+        gaps = 10.0 ** rng.uniform(log_gap, -6.0, (clusters, per_cluster))
+        gaps[:, 0] = 0.0
+        y = (rng.uniform(-2.0, 2.0, (clusters, 1)) + np.cumsum(gaps, axis=1)).ravel()
+        mu = dm(np.sort(rng.uniform(-3.0, 3.0, n)), _weights(rng, n))
+        nu = dm(y, _weights(rng, y.size))
+        _assert_certified(mu, nu)
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        light=st.integers(1, 8),
+        log_floor=st.floats(-6.0, -3.0),
+    )
+    def test_tiny_source_weights(self, seed, n, light, log_floor):
+        rng = np.random.default_rng(seed)
+        light = min(light, n - 1)
+        p = _weights(rng, n)
+        idx = rng.choice(n, light, replace=False)
+        heavy = np.setdiff1d(np.arange(n), idx)
+        p[idx] = 10.0 ** rng.uniform(log_floor, -3.0, light)
+        p[heavy] *= (1.0 - p[idx].sum()) / p[heavy].sum()
+        mu = dm(np.sort(rng.uniform(-3.0, 3.0, n)), p)
+        m = int(rng.integers(1, 31))
+        nu = dm(np.sort(rng.uniform(-2.0, 2.0, m)), _weights(rng, m))
+        _assert_certified(mu, nu)
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        m=st.integers(1, 30),
+        offset=st.floats(-1e6, 1e6),
+    )
+    def test_wide_offsets(self, seed, n, m, offset):
+        rng = np.random.default_rng(seed)
+        mu, nu = mix_pair(rng, n, m)
+        _assert_certified(mu.shift(offset), nu.shift(offset))
