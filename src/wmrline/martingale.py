@@ -1,8 +1,8 @@
 """Martingale couplings between convex-ordered discrete measures.
 
-Construction is a pure feasibility problem (marginal and barycenter
-equalities, nonnegative masses) solved by a dense phase-1 simplex with
-Bland's rule, so the returned vertex is deterministic. The module also
+Construction is the left-curtain coupling of Beiglboeck and Juillet: the
+source atoms, left to right, each take their shadow in what is left of the
+target, a quantile window with the atom as barycenter. The module also
 provides composition with a transport map, decomposition over irreducible
 intervals, barycenter maps, optimality certificates, and the two-point
 competitor construction used to falsify suboptimal couplings.
@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     CompositionError,
-    ConsistencyError,
     CouplingError,
     DomainError,
     OrderError,
@@ -24,12 +23,11 @@ from .errors import (
 )
 from .measures import (
     DiscreteMeasure,
-    Interval,
     convex_order_leq,
     irreducible_components,
     mean,
     measures_close,
-    potential_at,
+    nearest_atom,
     support_scale,
 )
 from .wmr import CostSpec, MonotoneMap, weak_monotone_rearrangement
@@ -107,146 +105,40 @@ class MartingaleCoupling(Coupling):
             )
 
 
-# ---------------------------------------------------------------------------
-# Phase-1 simplex (dense, Bland's rule)
-# ---------------------------------------------------------------------------
-
-
-def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float = 1e-11):
-    """Find x >= 0 with A x = b (b >= 0) minimizing the artificial mass.
-
-    Plain dense tableau with Bland's entering/leaving rule: deterministic and
-    cycle-free. Returns (x, residual_objective).
-    """
-    m, n = A.shape
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -A.sum(axis=0)  # reduced costs with the artificial basis
-    T[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
-
-    max_pivots = 50 * (n + m + 1)
-    for _ in range(max_pivots):
-        enter = -1
-        for j in range(n):  # artificials never re-enter
-            if T[m, j] < -tol:
-                enter = j
-                break
-        if enter < 0:
-            break
-        col = T[:m, enter]
-        # pivots below the floor poison the tableau; fall back to the best
-        # available element only when nothing safe exists
-        for piv_floor in (1e-7 * max(1.0, float(col.max(initial=0.0))), tol):
-            ratios = np.full(m, np.inf)
-            pos = col > piv_floor
-            ratios[pos] = T[:m, -1][pos] / col[pos]
-            if np.isfinite(ratios).any():
-                break
-        best = np.inf
-        leave = -1
-        for r in range(m):
-            if ratios[r] < best - 1e-15 or (
-                ratios[r] <= best + 1e-15 and leave >= 0 and basis[r] < basis[leave]
-            ):
-                if np.isfinite(ratios[r]):
-                    best = ratios[r]
-                    leave = r
-        if leave < 0:
-            raise ConsistencyError("phase-1 simplex: unbounded pivot column")
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for r in range(m + 1):
-            if r != leave and T[r, enter] != 0.0:
-                T[r] -= T[r, enter] * T[leave]
-        basis[leave] = enter
-    x = np.zeros(n)
-    for r, j in enumerate(basis):
-        if j < n:
-            x[j] = T[r, -1]
-    return x, float(-T[m, -1])
-
-
-def _comonotone_entries(a: DiscreteMeasure, b: DiscreteMeasure):
-    """Entries of the quantile coupling on the merged level grid."""
-    ca, cb = a.cumulative(), b.cumulative()
-    levels = np.union1d(ca, cb)
-    widths = np.diff(np.concatenate(([0.0], levels)))
-    ia = np.minimum(np.searchsorted(ca, levels, side="left"), a.n - 1)
-    ib = np.minimum(np.searchsorted(cb, levels, side="left"), b.n - 1)
-    keep = widths > 1e-15
-    return ia[keep], ib[keep], widths[keep]
-
-
 def build_martingale_coupling(eta: DiscreteMeasure, nu: DiscreteMeasure) -> MartingaleCoupling:
-    """Any feasible martingale coupling of eta <=_c nu (Strassen existence).
+    """The left-curtain martingale coupling of eta <=_c nu (Beiglboeck-Juillet).
 
-    Solves the linear feasibility problem with a phase-1 simplex under
-    Bland's pivoting, so the output vertex is deterministic given the input
-    order. Raises OrderError when eta <=_c nu fails.
+    eta's atoms are taken from left to right; atom (x, w) is sent to its
+    shadow in what is left of nu, the quantile window [a, a + w] of the
+    remaining mass whose barycenter is x, and the window is then removed.
+    Each row's support is therefore a contiguous run of what is left of nu,
+    and no later row reaches strictly inside an earlier row's run.
+    Rounding-level slivers (mass <= 1e-12 moving the barycenter by
+    <= 1e-10 * scale) are dropped. Raises OrderError when eta <=_c nu fails.
     """
     if not convex_order_leq(eta, nu):
         raise OrderError("martingale coupling requires eta <=_c nu")
-    n, m = eta.n, nu.n
-    p, q = eta.weights, nu.weights
-    lo = min(float(eta.atoms[0]), float(nu.atoms[0]))
-    hi = max(float(eta.atoms[-1]), float(nu.atoms[-1]))
-    if hi - lo <= 1e-9 * support_scale(eta, nu):
-        # everything sits within order tolerance of one point: any coupling is
-        # a martingale coupling there; return the comonotone one
-        rows, cols, mass = _comonotone_entries(eta, nu)
-        return MartingaleCoupling(eta, nu, rows, cols, mass)
-    # martingale couplings are invariant under a common affine rescaling of
-    # both marginals; solving in [-1, 1] coordinates conditions the tableau
-    half = 0.5 * (hi - lo)
-    x = (eta.atoms - 0.5 * (lo + hi)) / half
-    y = (nu.atoms - 0.5 * (lo + hi)) / half
-
-    N = n * m
-    rows = []
-    rhs = []
-    for i in range(n):  # row sums
-        r = np.zeros(N)
-        r[i * m : (i + 1) * m] = 1.0
-        rows.append(r)
-        rhs.append(p[i])
-    for j in range(m):  # column sums
-        r = np.zeros(N)
-        r[j::m] = 1.0
-        rows.append(r)
-        rhs.append(q[j])
-    for i in range(n):  # recentred barycenters: sum_j mass_ij (y_j - x_i) = 0
-        r = np.zeros(N)
-        r[i * m : (i + 1) * m] = y - x[i]
-        rows.append(r)
-        rhs.append(0.0)
-    A = np.array(rows)
-    b = np.array(rhs)
-
-    sol, resid = _phase1_simplex(A, b)
-    # the support polish below restores machine-precision feasibility, so the
-    # tableau only needs to land in its basin; the coupling constructor is
-    # the hard gate on marginals and barycenters
-    if resid > 1e-8:
-        raise ConsistencyError(
-            "simplex failed on a convex-ordered pair (should be impossible); "
-            f"artificial mass {resid:.3e}; potentials at target atoms: "
-            f"source {potential_at(eta, nu.atoms)!r} vs target {potential_at(nu, nu.atoms)!r}"
-        )
-    idx = np.flatnonzero(sol > 1e-12)
-    # polish the vertex: tableau arithmetic drifts at ~1e-8 on larger
-    # instances, while the support system pins the masses to machine accuracy
-    refined = np.linalg.lstsq(A[:, idx], b, rcond=None)[0]
-    if np.all(refined > 0.0) and np.abs(A[:, idx] @ refined - b).max() <= np.abs(
-        A[:, idx] @ sol[idx] - b
-    ).max():
-        masses = refined
-    else:
-        masses = sol[idx]
-    keep = masses > 1e-12
-    return MartingaleCoupling(eta, nu, idx[keep] // m, idx[keep] % m, masses[keep])
+    s = support_scale(eta, nu)
+    y = nu.atoms
+    left = nu.weights.copy()  # the part of nu no shadow has taken yet
+    rows, cols, mass = [], [], []
+    for i, (x, w) in enumerate(zip(eta.atoms.tolist(), eta.weights.tolist())):
+        # remaining cumulative mass C and quantile integral G, recentred on x;
+        # the window's offset from x, D(a) = G(a + w) - G(a), is nondecreasing
+        # in a and linear between the breakpoints C and C - w
+        C = np.concatenate(([0.0], np.cumsum(left)))
+        G = np.concatenate(([0.0], np.cumsum(left * (y - x))))
+        grid = np.clip(np.sort(np.concatenate((C, C - w)), kind="stable"), 0.0, max(C[-1] - w, 0.0))
+        D = np.maximum.accumulate(np.interp(grid + w, C, G) - np.interp(grid, C, G))
+        a = float(np.interp(0.0, D, grid))
+        take = np.clip(np.minimum(C[1:], a + w) - np.maximum(C[:-1], a), 0.0, left)
+        left -= take
+        j = np.flatnonzero((take > 1e-12) | (take * np.abs(y - x) > 1e-10 * s * w))
+        rows.append(np.full(j.size, i))
+        cols.append(j)
+        mass.append(take[j])
+    rows, cols, mass = (np.concatenate(part) for part in (rows, cols, mass))
+    return MartingaleCoupling(eta, nu, rows, cols, mass)
 
 
 def identity_coupling(m: DiscreteMeasure) -> MartingaleCoupling:
@@ -269,12 +161,7 @@ def compose_with_map(mu: DiscreteMeasure, map_: MonotoneMap, mg: Coupling) -> Co
     """
     images = map_(mu.atoms)
     s = support_scale(mu, mg.source)
-    pos = np.searchsorted(mg.source.atoms, images)
-    pos = np.clip(pos, 0, mg.source.n - 1)
-    left = np.clip(pos - 1, 0, mg.source.n - 1)
-    pos = np.where(
-        np.abs(mg.source.atoms[left] - images) < np.abs(mg.source.atoms[pos] - images), left, pos
-    )
+    pos = nearest_atom(mg.source.atoms, images)
     if np.abs(mg.source.atoms[pos] - images).max() > 1e-9 * s:
         raise CompositionError("mg.source does not match the pushforward of mu under the map")
     got = np.zeros(mg.source.n)
@@ -282,21 +169,14 @@ def compose_with_map(mu: DiscreteMeasure, map_: MonotoneMap, mg: Coupling) -> Co
     if np.abs(got - mg.source.weights).max() > 1e-9:
         raise CompositionError("pushforward weights do not match mg.source")
 
-    rows_out, cols_out, mass_out = [], [], []
-    for i in range(mu.n):
-        r = pos[i]
-        sel = mg.rows == r
-        share = mu.weights[i] / mg.source.weights[r]
-        rows_out.append(np.full(int(sel.sum()), i))
-        cols_out.append(mg.cols[sel])
-        mass_out.append(mg.mass[sel] * share)
-    return Coupling(
-        mu,
-        mg.target,
-        np.concatenate(rows_out),
-        np.concatenate(cols_out),
-        np.concatenate(mass_out),
-    )
+    # mg's entries are sorted by row, so image row pos[i] is the run of
+    # count[i] entries from start[i]
+    count = np.bincount(mg.rows, minlength=mg.source.n)[pos]
+    start = np.searchsorted(mg.rows, pos)
+    rows_out = np.repeat(np.arange(mu.n), count)
+    idx = np.repeat(start - np.cumsum(count) + count, count) + np.arange(rows_out.size)
+    share = mu.weights / mg.source.weights[pos]
+    return Coupling(mu, mg.target, rows_out, mg.cols[idx], mg.mass[idx] * share[rows_out])
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +287,7 @@ def optimality_certificate(
         bary = pi.row_barycenters()
         push = DiscreteMeasure(bary, mu.weights)
         # regroup entries by merged image atom
-        pos = np.searchsorted(push.atoms, bary[pi.rows])
-        pos = np.clip(pos, 0, push.n - 1)
-        left = np.clip(pos - 1, 0, push.n - 1)
-        pos = np.where(
-            np.abs(push.atoms[left] - bary[pi.rows]) < np.abs(push.atoms[pos] - bary[pi.rows]),
-            left,
-            pos,
-        )
+        pos = nearest_atom(push.atoms, bary[pi.rows])
         agg: dict[tuple[int, int], float] = {}
         for r, cidx, mass in zip(pos, pi.cols, pi.mass):
             agg[(int(r), int(cidx))] = agg.get((int(r), int(cidx)), 0.0) + float(mass)
@@ -523,10 +396,7 @@ def find_two_point_improvement(
     s = support_scale(mu, mg.target)
     if alphas is None:
         alphas = np.linspace(0.999, 0.5, 40)
-    pos = np.searchsorted(mg.source.atoms, t)
-    pos = np.clip(pos, 0, mg.source.n - 1)
-    left = np.clip(pos - 1, 0, mg.source.n - 1)
-    pos = np.where(np.abs(mg.source.atoms[left] - t) < np.abs(mg.source.atoms[pos] - t), left, pos)
+    pos = nearest_atom(mg.source.atoms, t)
 
     best = None
     for i in range(mu.n):
@@ -566,8 +436,7 @@ def coupling_to_csv(pi: Coupling) -> str:
 
 
 def parse_coupling_csv(text: str, source: DiscreteMeasure, target: DiscreteMeasure) -> Coupling:
-    rows, cols, mass = [], [], []
-    s = support_scale(source, target)
+    linenos, entries = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -576,16 +445,18 @@ def parse_coupling_csv(text: str, source: DiscreteMeasure, target: DiscreteMeasu
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 comma-separated fields")
         try:
-            a, b, m = (float(v) for v in parts)
+            entries.append([float(v) for v in parts])
         except ValueError:
             if lineno == 1:
                 continue
             raise ValueError(f"line {lineno}: non-numeric entry") from None
-        i = int(np.argmin(np.abs(source.atoms - a)))
-        j = int(np.argmin(np.abs(target.atoms - b)))
-        if abs(source.atoms[i] - a) > 1e-9 * s or abs(target.atoms[j] - b) > 1e-9 * s:
-            raise ValueError(f"line {lineno}: atom not found in the marginals")
-        rows.append(i)
-        cols.append(j)
-        mass.append(m)
-    return Coupling(source, target, np.array(rows), np.array(cols), np.array(mass))
+        linenos.append(lineno)
+    a, b, mass = np.array(entries, dtype=float).reshape(-1, 3).T
+    rows = nearest_atom(source.atoms, a)
+    cols = nearest_atom(target.atoms, b)
+    tol = 1e-9 * support_scale(source, target)
+    missing = (np.abs(source.atoms[rows] - a) > tol) | (np.abs(target.atoms[cols] - b) > tol)
+    if missing.any():
+        lineno = linenos[int(np.argmax(missing))]
+        raise ValueError(f"line {lineno}: atom not found in the marginals")
+    return Coupling(source, target, rows, cols, mass)

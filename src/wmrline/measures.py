@@ -309,11 +309,24 @@ def _snap_to_grid(root: float, grid: np.ndarray, tol: float) -> float:
     difference kinks there, so the atom is the exact touch point.
 
     The nearest atom is one of the two neighbours of root in the sorted grid;
-    a tie goes to the lower one."""
+    a tie goes to the lower one. This is the scalar form of nearest_atom,
+    written out because it runs once per component endpoint."""
     k = int(np.searchsorted(grid, root))
     if k == grid.size or (k > 0 and root - grid[k - 1] <= grid[k] - root):
         k -= 1
     return float(grid[k]) if abs(float(grid[k]) - root) <= tol else root
+
+
+def nearest_atom(grid: np.ndarray, points) -> np.ndarray:
+    """Index of the entry of the sorted grid nearest to each point.
+
+    The nearest entry is one of the two neighbours of a point in the grid; a
+    tie goes to the lower index, as argmin over |grid - point| would."""
+    points = np.asarray(points, dtype=float)
+    k = np.searchsorted(grid, points)
+    lower = np.maximum(k - 1, 0)
+    upper = np.minimum(k, grid.size - 1)
+    return np.where(points - grid[lower] <= grid[upper] - points, lower, upper)
 
 
 def _root_toward(grid, diff, k, step):

@@ -27,6 +27,7 @@ from .measures import (
     mean,
     measure_from_potential,
     measures_close,
+    nearest_atom,
     pl_max,
     potential,
     potential_at,
@@ -69,9 +70,10 @@ def _atom_weight(m: DiscreteMeasure, pos: float, tol: float) -> float:
     return float(m.weights[sel].sum())
 
 
-def _snap_to_atoms(pos: float, atoms: np.ndarray, tol: float) -> float:
-    j = int(np.argmin(np.abs(atoms - pos)))
-    return float(atoms[j]) if abs(float(atoms[j]) - pos) <= tol else float(pos)
+def _snap_to_atoms(pos, atoms: np.ndarray, tol: float) -> np.ndarray:
+    """Positions within tol of their nearest atom moved onto it."""
+    near = atoms[nearest_atom(atoms, pos)]
+    return np.where(np.abs(near - pos) <= tol, near, pos)
 
 
 def reverse_optimizer(
@@ -135,8 +137,7 @@ def reverse_optimizer(
                 f"mass balance failed on ({iv.lo}, {iv.hi}): "
                 f"inflows {inflow_lo:.3e}/{inflow_hi:.3e}, available {avail_hi:.3e}"
             )
-        lo_img = _snap_to_atoms(iv.lo, nu.atoms, margin)
-        hi_img = _snap_to_atoms(iv.hi, nu.atoms, margin)
+        lo_img, hi_img = _snap_to_atoms(np.array([iv.lo, iv.hi]), nu.atoms, margin).tolist()
         if inflow_lo > atom_tol:
             knots.append((lo_img + c_iv, lo_img, inflow_lo))
         for j in interior:
@@ -146,13 +147,10 @@ def reverse_optimizer(
         carry = avail_hi - inflow_hi
         prev_hi = iv.hi
 
-    for i in np.flatnonzero(~inside_any):
-        # on the fixed set the image is an atom of nu; snap away solver noise
-        image = float(t[i])
-        j = int(np.argmin(np.abs(nu.atoms - image)))
-        if abs(float(nu.atoms[j]) - image) <= margin:
-            image = float(nu.atoms[j])
-        knots.append((float(mu.atoms[i]), image, float(mu.weights[i])))
+    # on the fixed set the image is an atom of nu; snap away solver noise
+    fixed = ~inside_any
+    images = _snap_to_atoms(t[fixed], nu.atoms, margin)
+    knots.extend(zip(mu.atoms[fixed].tolist(), images.tolist(), mu.weights[fixed].tolist()))
 
     knots.sort()
     pos: list[float] = []

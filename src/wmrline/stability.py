@@ -17,6 +17,7 @@ from .errors import ConsistencyError, DomainError, HypothesisError, OrderError
 from .martingale import build_martingale_coupling
 from .measures import (
     DiscreteMeasure,
+    _bin_barycenters,
     convex_order_leq,
     mean,
     quantize,
@@ -169,12 +170,7 @@ def finite_support_approx(eta: DiscreteMeasure, k: int) -> DiscreteMeasure:
         return eta
     delta = eta.diameter / k
     idx = np.minimum(np.floor((eta.atoms - eta.atoms[0]) / delta).astype(np.int64), k - 1)
-    keys, inverse = np.unique(idx, return_inverse=True)
-    w = np.zeros(keys.size)
-    wx = np.zeros(keys.size)
-    np.add.at(w, inverse, eta.weights)
-    np.add.at(wx, inverse, eta.weights * eta.atoms)
-    return DiscreteMeasure(wx / w, w)
+    return _bin_barycenters(eta, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from wmrline import (
 )
 from wmrline.martingale import parse_coupling_csv
 
-from conftest import dirac, dm, nth_mix_pair, random_measure, random_ordered_pair
+from conftest import dirac, dm, mix_pair, nth_mix_pair, random_measure, random_ordered_pair
 
 
 class TestCouplingTypes:
@@ -90,6 +92,19 @@ class TestBuildMartingaleCoupling:
         assert np.array_equal(a.rows, b.rows) and np.array_equal(a.mass, b.mass)
 
 
+def compose_per_atom(mu, map_, mg):
+    """Reference for compose_with_map: one scan of mg's rows per atom of mu."""
+    images = map_(mu.atoms)
+    pos = [int(np.argmin(np.abs(mg.source.atoms - t))) for t in images]
+    rows, cols, mass = [], [], []
+    for i, r in enumerate(pos):
+        sel = mg.rows == r
+        rows.append(np.full(int(sel.sum()), i))
+        cols.append(mg.cols[sel])
+        mass.append(mg.mass[sel] * (mu.weights[i] / mg.source.weights[r]))
+    return Coupling(mu, mg.target, *(np.concatenate(part) for part in (rows, cols, mass)))
+
+
 class TestComposeWithMap:
     def test_halving_composition(self):
         mu = dm([-2, 2])
@@ -133,6 +148,16 @@ class TestComposeWithMap:
             s = support_scale(mu, nu)
             assert abs(pi.cost(sol.cost) - sol.value) <= 1e-9 * max(1.0, s) ** 2
 
+    def test_matches_per_atom_loop(self, rng):
+        for k in range(30):
+            n = (5, 12, 40)[k % 3]
+            mu, nu = mix_pair(rng, n, n)
+            sol = solve_weak_transport(mu, nu)
+            mg = build_martingale_coupling(sol.pushforward, nu)
+            got, want = compose_with_map(mu, sol.map, mg), compose_per_atom(mu, sol.map, mg)
+            for field in ("rows", "cols", "mass"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
 
 class TestDecomposeMartingale:
     def test_identity_all_fixed(self):
@@ -171,20 +196,81 @@ class TestDecomposeMartingale:
             decompose_martingale(bad)
 
 
+# (seed, index, n): the index-th mix_pair draw of default_rng(seed) at n = m
+PIPELINE_PAIRS = [
+    # a map off the exact rearrangement made the coupling miss its row sums
+    # on (4, 13) and move fixed mass on (2, 6)
+    (4, 13, 20),
+    (2, 6, 20),
+    # the simplex vertex carried rounding-level masses that moved fixed mass
+    (5, 35, 10),
+    (5, 138, 14),
+    (2, 75, 10),
+    (2, 153, 14),
+    (3, 75, 14),
+    (3, 228, 14),
+    (4, 115, 10),
+]
+
+
+def run_pipeline(mu, nu):
+    cost = CostSpec.quadratic()
+    sol = solve_weak_transport(mu, nu, cost)
+    mg = build_martingale_coupling(sol.pushforward, nu)
+    pi = compose_with_map(mu, sol.map, mg)
+    assert optimality_certificate(pi, mu, nu, cost).ok
+    return mg
+
+
 class TestPipelineRegressions:
-    @pytest.mark.parametrize("seed,index", [(4, 13), (2, 6)])
-    def test_solve_couple_compose_certify_decompose(self, seed, index):
-        # a map off the exact rearrangement made the coupling miss its row
-        # sums on (4, 13) and move fixed mass on (2, 6)
-        mu, nu = nth_mix_pair(seed, index, (20,))
-        cost = CostSpec.quadratic()
-        sol = solve_weak_transport(mu, nu, cost)
-        mg = build_martingale_coupling(sol.pushforward, nu)
-        pi = compose_with_map(mu, sol.map, mg)
-        assert optimality_certificate(pi, mu, nu, cost).ok
+    @pytest.mark.parametrize(
+        "seed,index,n", PIPELINE_PAIRS, ids=[f"{seed}-{index}" for seed, index, _ in PIPELINE_PAIRS]
+    )
+    def test_solve_couple_compose_certify_decompose(self, seed, index, n):
+        mg = run_pipeline(*nth_mix_pair(seed, index, (n,)))
         dec = decompose_martingale(mg)
         assigned = np.concatenate([dec.fixed, *(idx for _, idx in dec.components)])
         assert np.array_equal(np.sort(assigned), np.arange(mg.mass.size))
+
+    def test_thousand_atoms(self):
+        # decompose_martingale is left out: at this size it still trips on
+        # rounding-level entries that pass the coupling gate
+        mu, nu = nth_mix_pair(0, 1, (1000,))
+        start = time.perf_counter()
+        mg = run_pipeline(mu, nu)
+        assert time.perf_counter() - start < 10.0
+        assert left_monotone_crossings(mg) == 0
+
+
+def left_monotone_crossings(mg):
+    """Entries of a row i' with a column strictly between the smallest and
+    the largest column of some earlier row i < i'."""
+    n = mg.source.n
+    lo = np.full(n, mg.target.n)
+    hi = np.full(n, -1)
+    np.minimum.at(lo, mg.rows, mg.cols)
+    np.maximum.at(hi, mg.rows, mg.cols)
+    earlier = np.arange(n)[None, :] < mg.rows[:, None]
+    inside = (lo[None, :] < mg.cols[:, None]) & (mg.cols[:, None] < hi[None, :])
+    return int((earlier & inside).any(axis=1).sum())
+
+
+class TestLeftCurtain:
+    """Beiglboeck-Juillet: the left-curtain coupling is the only martingale
+    coupling in which no later source reaches strictly inside the support of
+    an earlier one."""
+
+    def test_left_monotone_on_ordered_pairs(self, rng):
+        for _ in range(300):
+            mg = build_martingale_coupling(*random_ordered_pair(rng))
+            assert left_monotone_crossings(mg) == 0
+
+    def test_left_monotone_on_solved_pushforwards(self, rng):
+        for k in range(300):
+            n = (10, 12, 14)[k % 3]
+            mu, nu = mix_pair(rng, n, n)
+            mg = build_martingale_coupling(solve_weak_transport(mu, nu).pushforward, nu)
+            assert left_monotone_crossings(mg) == 0
 
 
 class TestBarycenterMap:
