@@ -264,7 +264,7 @@ def cmd_stability(config: RunConfig) -> int:
         nu,
         config.extra["ladder"],
         length=config.extra["rungs"],
-        rho=config.extra["rho"],
+        rho=config.extra["ladder_rho"],
         seed=config.seed,
         step=config.extra["step"],
         samples=config.extra["samples"],
@@ -400,6 +400,10 @@ def _add_cost_flags(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+# destinations of the stability-only flags, passed on in RunConfig.extra
+STABILITY_FLAGS = ("ladder", "rungs", "ladder_rho", "step", "samples", "delta0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wmrline", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -451,25 +455,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cost = CostSpec(args.cost, args.rho) if args.cost == "power" else CostSpec(args.cost)
+        flags = vars(args)
         config = RunConfig(
             command=args.command,
             mu_path=args.mu,
-            nu_path=getattr(args, "nu", None),
+            nu_path=flags.get("nu"),
             cost=cost,
             tol=args.tol,
             out=args.out,
             fmt=args.fmt,
             seed=args.seed,
-            verify=getattr(args, "verify", False),
-            verify_theta=getattr(args, "verify_theta", False),
-            extra={
-                "ladder": getattr(args, "ladder", "shift"),
-                "rungs": getattr(args, "rungs", 8),
-                "rho": getattr(args, "ladder_rho", 2.0),
-                "step": getattr(args, "step", 1.0),
-                "samples": getattr(args, "samples", 1),
-                "delta0": getattr(args, "delta0", 1.0),
-            },
+            **{k: flags[k] for k in ("verify", "verify_theta") if k in flags},
+            extra={k: flags[k] for k in STABILITY_FLAGS if k in flags},
         )
         return HANDLERS[args.command](config)
     except (OSError, ValueError) as err:

@@ -24,6 +24,7 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     convex_order_leq,
+    interval_index,
     irreducible_components,
     mean,
     measures_close,
@@ -211,35 +212,36 @@ def decompose_martingale(mg: MartingaleCoupling, tol: float = 1e-9) -> Martingal
     src = mg.source.atoms[mg.rows]
     tgt = mg.target.atoms[mg.cols]
 
-    comp_entries: list[list[int]] = [[] for _ in comps]
-    fixed: list[int] = []
-    ambiguous: set[float] = set()
-    endpoints = [e for iv in comps for e in (iv.lo, iv.hi)]
-    for k in range(mg.mass.size):
+    where = interval_index(comps, src, margin)
+    lo = np.array([iv.lo for iv in comps] + [np.nan])[where]  # nan on the fixed set
+    hi = np.array([iv.hi for iv in comps] + [np.nan])[where]
+    fixed = where < 0
+    moves = fixed & (np.abs(tgt - src) > margin)
+    strays = ~fixed & ~((lo - margin <= tgt) & (tgt <= hi + margin))
+    if np.any(moves | strays):
+        k = int(np.argmax(moves | strays))
         x_pos, y_pos = float(src[k]), float(tgt[k])
-        where = next((c for c, iv in enumerate(comps) if iv.contains(x_pos, margin)), None)
-        if where is None:
-            if any(abs(x_pos - e) <= margin for e in endpoints):
-                ambiguous.add(x_pos)
-            if abs(y_pos - x_pos) > margin:
-                raise StructureError(
-                    f"entry {k}: source {x_pos} lies in the fixed set F but moves to {y_pos}"
-                )
-            fixed.append(k)
-        else:
-            iv = comps[where]
-            if not (iv.lo - margin <= y_pos <= iv.hi + margin):
-                raise StructureError(
-                    f"entry {k}: source {x_pos} in ({iv.lo}, {iv.hi}) targets {y_pos} "
-                    "outside the interval closure"
-                )
-            comp_entries[where].append(k)
+        if moves[k]:
+            raise StructureError(
+                f"entry {k}: source {x_pos} lies in the fixed set F but moves to {y_pos}"
+            )
+        iv = comps[where[k]]
+        raise StructureError(
+            f"entry {k}: source {x_pos} in ({iv.lo}, {iv.hi}) targets {y_pos} "
+            "outside the interval closure"
+        )
+    ambiguous = np.empty(0)
+    if comps:
+        endpoints = np.array([e for iv in comps for e in (iv.lo, iv.hi)])
+        near = endpoints[nearest_atom(endpoints, src)]
+        ambiguous = np.unique(src[fixed & (np.abs(src - near) <= margin)])
+    order = np.argsort(where, kind="stable")
+    split = np.cumsum(np.bincount(where[~fixed], minlength=len(comps)))
+    entries = np.split(order[int(fixed.sum()):], split[:-1])
     return MartingaleDecomposition(
-        components=tuple(
-            (iv, np.array(entries, dtype=np.int64)) for iv, entries in zip(comps, comp_entries)
-        ),
-        fixed=np.array(fixed, dtype=np.int64),
-        ambiguous_sources=tuple(sorted(ambiguous)),
+        components=tuple(zip(comps, entries)),
+        fixed=np.flatnonzero(fixed),
+        ambiguous_sources=tuple(ambiguous.tolist()),
     )
 
 

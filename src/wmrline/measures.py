@@ -108,22 +108,19 @@ class DiscreteMeasure:
 
 
 def _merge_close(atoms: np.ndarray, weights: np.ndarray, tol: float):
-    """Group sorted atoms closer than tol; barycenter position, summed mass."""
-    out_a, out_w = [], []
-    ca, cw = atoms[0] * weights[0], weights[0]
-    last = atoms[0]
-    for a, w in zip(atoms[1:], weights[1:]):
-        if a - last <= tol:
-            ca += a * w
-            cw += w
-        else:
-            out_a.append(ca / cw)
-            out_w.append(cw)
-            ca, cw = a * w, w
-        last = a
-    out_a.append(ca / cw)
-    out_w.append(cw)
-    return np.array(out_a), np.array(out_w)
+    """Group sorted atoms closer than tol; barycenter position, summed mass.
+
+    Each barycenter is formed from offsets to its group's first atom, so it
+    stays inside the group (exact duplicates keep their position) even where
+    the atoms' ulp exceeds tol."""
+    new = np.empty(atoms.size, dtype=bool)
+    new[0] = True
+    np.greater(atoms[1:] - atoms[:-1], tol, out=new[1:])
+    start = np.flatnonzero(new)
+    first = atoms[start]
+    mass = np.add.reduceat(weights, start)
+    offset = atoms - first[np.cumsum(new) - 1]
+    return first + np.add.reduceat(weights * offset, start) / mass, mass
 
 
 def support_scale(*measures: DiscreteMeasure) -> float:
@@ -286,35 +283,34 @@ def irreducible_components(
     thr = (tol if strictness is None else strictness) * s
     grid = np.union1d(a.atoms, b.atoms)
     diff = potential_at(b, grid) - potential_at(a, grid)
-    above = diff > thr
-    comps: list[Interval] = []
-    i = 0
-    while i < grid.size:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < grid.size and above[j + 1]:
-            j += 1
-        lo = _snap_to_grid(_root_toward(grid, diff, i, -1), grid, thr)
-        hi = _snap_to_grid(_root_toward(grid, diff, j, +1), grid, thr)
-        if hi > lo:
-            comps.append(Interval(lo, hi))
-        i = j + 1
-    return comps
+    # runs of grid points where the difference exceeds the threshold: k holds
+    # each run's first and last point, k2 their outer neighbours
+    above = np.zeros(grid.size + 2, dtype=np.int8)
+    above[1:-1] = diff > thr
+    k2 = np.flatnonzero(above[1:] != above[:-1])
+    if not k2.size:
+        return []
+    k = k2.copy()
+    k[1::2] -= 1
+    k2[::2] -= 1
+    ends = _touch_points(grid, diff, k, np.minimum(np.maximum(k2, 0), grid.size - 1), thr)
+    return [Interval(x, y) for x, y in zip(ends[::2].tolist(), ends[1::2].tolist()) if y > x]
 
 
-def _snap_to_grid(root: float, grid: np.ndarray, tol: float) -> float:
-    """Interpolated roots within tol of an atom are that atom: the potential
-    difference kinks there, so the atom is the exact touch point.
+def interval_index(intervals: list[Interval], points, margin: float = 0.0) -> np.ndarray:
+    """Index of the interval that contains each point (Interval.contains with
+    margin), or -1 where none does.
 
-    The nearest atom is one of the two neighbours of root in the sorted grid;
-    a tie goes to the lower one. This is the scalar form of nearest_atom,
-    written out because it runs once per component endpoint."""
-    k = int(np.searchsorted(grid, root))
-    if k == grid.size or (k > 0 and root - grid[k - 1] <= grid[k] - root):
-        k -= 1
-    return float(grid[k]) if abs(float(grid[k]) - root) <= tol else root
+    The intervals must be sorted and disjoint, as irreducible_components
+    returns them: the only candidate is then the last interval whose shrunk
+    lower end lies below the point."""
+    points = np.asarray(points, dtype=float)
+    if not intervals:
+        return np.full(points.shape, -1, dtype=np.int64)
+    lo = np.array([iv.lo for iv in intervals])
+    hi = np.array([iv.hi for iv in intervals])
+    k = np.searchsorted(lo + margin, points, side="left") - 1
+    return np.where((k >= 0) & (points < hi[k] - margin), k, -1)
 
 
 def nearest_atom(grid: np.ndarray, points) -> np.ndarray:
@@ -329,18 +325,23 @@ def nearest_atom(grid: np.ndarray, points) -> np.ndarray:
     return np.where(points - grid[lower] <= grid[upper] - points, lower, upper)
 
 
-def _root_toward(grid, diff, k, step):
-    """Root of the linear piece of diff next to grid[k] in direction step."""
-    k2 = k + step
-    if k2 < 0 or k2 >= grid.size:
-        return float(grid[k])  # difference positive up to the support edge
+def _touch_points(grid, diff, k, k2, tol):
+    """Root of the linear piece of diff between grid[k] and its neighbour
+    grid[k2], for each pair of indices.
+
+    Where diff does not descend toward the neighbour, the neighbour is the
+    touch point; past the support edge (k2 == k) the difference stays
+    positive up to grid[k] itself. A root within tol of the nearer of the two
+    atoms (the lower one on a tie) is that atom: the potential difference
+    kinks there, so the atom is the exact touch point."""
     d0, d1 = diff[k], diff[k2]
-    if d1 >= d0:  # not descending toward zero; treat neighbour as the touch point
-        return float(grid[k2])
-    t = d0 / (d0 - d1)
-    root = grid[k] + t * (grid[k2] - grid[k])
-    lo, hi = sorted((float(grid[k]), float(grid[k2])))
-    return float(min(max(root, lo), hi))
+    g0, g1 = grid[k], grid[k2]
+    lo, hi = np.minimum(g0, g1), np.maximum(g0, g1)
+    descends = d1 < d0
+    root = g0 + d0 / np.where(descends, d0 - d1, 1.0) * (g1 - g0)
+    root = np.where(descends, np.minimum(np.maximum(root, lo), hi), g1)
+    near = np.where(root - lo <= hi - root, lo, hi)
+    return np.where(np.abs(near - root) <= tol, near, root)
 
 
 def wasserstein(a: DiscreteMeasure, b: DiscreteMeasure, rho: float = 1.0) -> float:

@@ -2,12 +2,14 @@
 
 Instead of relaxing the target downward in convex order, the reverse problem
 relaxes it upward: find the convex-order-smallest nu* >= mu that an
-increasing 1-Lipschitz map pushes onto nu. Its optimizer is built directly
-from the weak monotone rearrangement T of (mu, nu): on the contractive part
-nu* carries mu's atoms, while the mass of nu attributed to each irreducible
-interval is shifted by that interval's constant displacement. The module also
-houses the convex-order map algebra (maxima, minima, residual comparisons)
-this construction rests on.
+increasing 1-Lipschitz map pushes onto nu. Its optimizer is built in closed
+form from the weak monotone rearrangement T of (mu, nu), in quantile
+coordinates: with d = x - T(x), nu* is the law of F_nu^{-1}(U) +
+d(F_mu^{-1}(U)) for U uniform, and the reverse map sends each such point back
+to F_nu^{-1}(U). On each irreducible interval nu's mass thus moves by that
+interval's constant displacement, and on the contractive part nu* carries
+mu's atoms. The module also houses the convex-order map algebra (maxima,
+minima, residual comparisons) this construction rests on.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
 from .measures import (
+    MERGE_TOL,
     ORDER_TOL,
     DiscreteMeasure,
     Interval,
@@ -27,15 +30,13 @@ from .measures import (
     mean,
     measure_from_potential,
     measures_close,
-    nearest_atom,
     pl_max,
     potential,
-    potential_at,
     pushforward,
     quantiles_at,
     support_scale,
 )
-from .wmr import CostSpec, MonotoneMap, weak_monotone_rearrangement
+from .wmr import CostSpec, MonotoneMap, slope1_violations, weak_monotone_rearrangement
 
 
 @dataclass(frozen=True)
@@ -64,124 +65,54 @@ class ReverseSolution:
         }
 
 
-def _atom_weight(m: DiscreteMeasure, pos: float, tol: float) -> float:
-    """Total mass within tol of pos (solver noise can split one atom in two)."""
-    sel = np.abs(m.atoms - pos) <= tol
-    return float(m.weights[sel].sum())
-
-
-def _snap_to_atoms(pos, atoms: np.ndarray, tol: float) -> np.ndarray:
-    """Positions within tol of their nearest atom moved onto it."""
-    near = atoms[nearest_atom(atoms, pos)]
-    return np.where(np.abs(near - pos) <= tol, near, pos)
-
-
 def reverse_optimizer(
     mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec | None = None
 ) -> ReverseSolution:
-    """Construct (nu*, T~) explicitly from the weak monotone rearrangement.
+    """Construct (nu*, T~) in closed form from the weak monotone rearrangement.
 
-    On each irreducible interval I of (T(mu), nu) the displacement
-    c_I = x - T(x) is constant; nu* carries the nu-mass attributed to I
-    shifted by +c_I, and mu's atoms unchanged wherever T(x) stays in the
-    fixed set F. Boundary atoms of nu shared with F keep their fixed part
-    eta({b}) in place, and the remaining inflow is attributed to adjacent
-    intervals by mass balance (each interval's block must carry exactly the
-    mass eta(I) that flows in the martingale stage). All postconditions are
-    verified; any failure raises ConsistencyError with both potentials.
+    With d = x - T(x), nu* is the law of F_nu^{-1}(U) + d(F_mu^{-1}(U)) for U
+    uniform on (0, 1], and T~ maps each such point back to F_nu^{-1}(U). Both
+    quantiles are constant on each block of the merged cumulative levels of
+    mu and nu, so each block of mu's atom x_i and nu's atom y_j contributes
+    the point y_j + x_i - t_i with image y_j and the block's width as mass.
+    d is nondecreasing (T is 1-Lipschitz), so the points come in order; on an
+    irreducible interval T has slope 1, so d is its constant displacement
+    c_I, and on the fixed set y_j = t_i, so the point is x_i itself. Blocks
+    of width <= 1e-12 (a shared level split by rounding) are dropped, and a
+    point within MERGE_TOL times the span of its predecessor joins it. All
+    postconditions are verified; any failure raises ConsistencyError.
     """
     cost = cost or CostSpec.quadratic()
-    sol = weak_monotone_rearrangement(mu, nu)
-    t = sol.map(mu.atoms)
-    eta = sol.pushforward
-    comps = sol.irreducibles
-    s = support_scale(mu, nu)
-    # interval membership must absorb solver noise: atoms whose image is
-    # within this margin of an endpoint stay on the fixed set, where their
-    # image is snapped to the matching atom of nu
-    margin = 1e-7 * s
-    atom_tol = 1e-9 * s
+    t = weak_monotone_rearrangement(mu, nu).map(mu.atoms)
+    c_mu, c_nu = mu.cumulative(), nu.cumulative()
+    levels = np.union1d(c_mu, c_nu)
+    width = np.diff(levels, prepend=0.0)
+    levels, width = levels[width > 1e-12], width[width > 1e-12]
+    i = np.minimum(np.searchsorted(c_mu, levels), mu.n - 1)
+    j = np.minimum(np.searchsorted(c_nu, levels), nu.n - 1)
+    pos = nu.atoms[j] + (mu.atoms - t)[i]
+    order = np.argsort(pos, kind="stable")
+    pos, img = pos[order], nu.atoms[j][order]
+    tol = MERGE_TOL * max(1.0, float(pos[-1] - pos[0]))
+    start = np.flatnonzero(np.concatenate(([True], np.diff(pos) > tol)))
+    pos, img, wts = pos[start], img[start], np.add.reduceat(width[order], start)
+    nu_star = DiscreteMeasure(pos, wts)
+    tilde = MonotoneMap(pos, img)
 
-    knots: list[tuple[float, float, float]] = []  # (position, image, weight)
-    inside_any = np.zeros(mu.n, dtype=bool)
-    carry = 0.0  # inflow left for the next interval at a shared endpoint
-    prev_hi: float | None = None
-    for iv in comps:
-        in_idx = [i for i in range(mu.n) if iv.contains(float(t[i]), margin)]
-        if not in_idx:
-            raise ConsistencyError(
-                f"no source atom maps strictly inside ({iv.lo}, {iv.hi}); "
-                f"potentials: {potential_at(eta, nu.atoms)!r} vs {potential_at(nu, nu.atoms)!r}"
-            )
-        inside_any[in_idx] = True
-        disp = mu.atoms[in_idx] - t[in_idx]
-        if float(disp.max() - disp.min()) > 1e-7 * s:
-            raise ConsistencyError(
-                f"displacement not constant over the preimage of ({iv.lo}, {iv.hi})"
-            )
-        w_in = mu.weights[in_idx]
-        c_iv = float(np.dot(w_in, disp) / w_in.sum())
-
-        shared_lo = prev_hi is not None and abs(iv.lo - prev_hi) <= atom_tol
-        inflow_lo = carry if shared_lo else (
-            _atom_weight(nu, iv.lo, atom_tol) - _atom_weight(eta, iv.lo, margin)
-        )
-        interior = [
-            j for j in range(nu.n) if iv.contains(float(nu.atoms[j]), atom_tol)
-        ]
-        need = float(w_in.sum())
-        inflow_hi = need - float(nu.weights[interior].sum()) - inflow_lo
-        avail_hi = _atom_weight(nu, iv.hi, atom_tol) - _atom_weight(eta, iv.hi, margin)
-        if inflow_lo < -atom_tol or inflow_hi < -atom_tol or inflow_hi > avail_hi + atom_tol:
-            raise ConsistencyError(
-                f"mass balance failed on ({iv.lo}, {iv.hi}): "
-                f"inflows {inflow_lo:.3e}/{inflow_hi:.3e}, available {avail_hi:.3e}"
-            )
-        lo_img, hi_img = _snap_to_atoms(np.array([iv.lo, iv.hi]), nu.atoms, margin).tolist()
-        if inflow_lo > atom_tol:
-            knots.append((lo_img + c_iv, lo_img, inflow_lo))
-        for j in interior:
-            knots.append((float(nu.atoms[j]) + c_iv, float(nu.atoms[j]), float(nu.weights[j])))
-        if inflow_hi > atom_tol:
-            knots.append((hi_img + c_iv, hi_img, inflow_hi))
-        carry = avail_hi - inflow_hi
-        prev_hi = iv.hi
-
-    # on the fixed set the image is an atom of nu; snap away solver noise
-    fixed = ~inside_any
-    images = _snap_to_atoms(t[fixed], nu.atoms, margin)
-    knots.extend(zip(mu.atoms[fixed].tolist(), images.tolist(), mu.weights[fixed].tolist()))
-
-    knots.sort()
-    pos: list[float] = []
-    img: list[float] = []
-    wts: list[float] = []
-    for x_pos, image, w in knots:
-        if pos and x_pos - pos[-1] <= atom_tol:
-            if abs(image - img[-1]) > 1e-7 * s:
-                raise ConsistencyError(
-                    f"conflicting images {img[-1]} vs {image} at position {x_pos}"
-                )
-            wts[-1] += w
-        else:
-            pos.append(x_pos)
-            img.append(image)
-            wts.append(w)
-    nu_star = DiscreteMeasure(np.array(pos), np.array(wts))
-    tilde = MonotoneMap(np.array(pos), np.array(img))
-
-    _verify_reverse(mu, nu, nu_star, tilde, np.array(img), np.array(wts), t, cost, s)
-    val = float(np.dot(nu_star.weights, cost.value(nu_star.atoms - np.array(img))))
+    comps = _verify_reverse(mu, nu, nu_star, tilde, img, wts, t, cost, support_scale(mu, nu))
+    val = float(np.dot(nu_star.weights, cost.value(nu_star.atoms - img)))
     return ReverseSolution(
         nu_star=nu_star,
         tilde_map=tilde,
-        irreducibles_mu_nustar=irreducible_components(mu, nu_star),
+        irreducibles_mu_nustar=comps,
         value=val,
         cost=cost,
     )
 
 
-def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s):
+def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> list[Interval]:
+    """Postconditions of the reverse construction; returns the irreducible
+    intervals of (mu, nu*)."""
     if not tilde.is_monotone(1e-9 * s) or not tilde.is_one_lipschitz(1e-9 * s):
         raise ConsistencyError("reverse map is not increasing and 1-Lipschitz")
     if not convex_order_leq(mu, nu_star):
@@ -199,17 +130,13 @@ def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s):
         raise ConsistencyError(
             f"reverse map deviates from the rearrangement on supp(mu) by {gap.max():.3e}"
         )
-    for iv in irreducible_components(mu, nu_star):
-        idx = [k for k in range(nu_star.n) if iv.contains(float(nu_star.atoms[k]), 1e-9 * s)]
-        for a, b in zip(idx, idx[1:]):
-            if b != a + 1:
-                continue
-            dz = nu_star.atoms[b] - nu_star.atoms[a]
-            dt = images[b] - images[a]
-            if abs(dz - dt) > 1e-7 * s:
-                raise ConsistencyError(
-                    f"reverse map has slope {dt / dz:.6f} != 1 inside ({iv.lo}, {iv.hi})"
-                )
+    comps = irreducible_components(mu, nu_star)
+    z = nu_star.atoms
+    bad = slope1_violations(z, z, images, comps, 1e-9 * s, 1e-7 * s)
+    if bad:
+        iv, slope = bad[0]
+        raise ConsistencyError(f"reverse map has slope {slope:.6f} != 1 inside ({iv.lo}, {iv.hi})")
+    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .measures import (
     Interval,
     _lower_hull,
     convex_order_leq,
+    interval_index,
     irreducible_components,
     mean,
     pushforward,
@@ -388,6 +389,21 @@ class SlopeReport:
     violations: tuple = ()
 
 
+def slope1_violations(points, x, y, intervals: list[Interval], margin: float, tol: float):
+    """Slope-1 test of the knots (x_a, y_a) on irreducible intervals.
+
+    Each consecutive pair a, a + 1 whose points both lie strictly inside one
+    interval, shrunk by margin, must have |dy - dx| <= tol. Returns the
+    failing pairs as (interval, slope dy/dx), ordered by interval, then by a.
+    """
+    comp = interval_index(intervals, points, margin)
+    dx, dy = np.diff(x), np.diff(y)
+    bad = (comp[:-1] >= 0) & (comp[:-1] == comp[1:]) & (np.abs(dy - dx) > tol)
+    a = np.flatnonzero(bad)
+    a = a[np.argsort(comp[a], kind="stable")]
+    return [(intervals[comp[k]], float(dy[k] / dx[k])) for k in a.tolist()]
+
+
 def verify_slope1_characterization(
     sol: WeakSolution, mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-7
 ) -> SlopeReport:
@@ -398,17 +414,9 @@ def verify_slope1_characterization(
     adm = verify_admissible(sol.map, mu, nu, tol)
     x = mu.atoms
     t = sol.map(x)
-    margin = tol * s
     viol = list(adm.violations)
-    for iv in sol.irreducibles:
-        inside = [i for i in range(x.size) if iv.contains(float(t[i]), margin)]
-        for a, b in zip(inside, inside[1:]):
-            if b != a + 1:
-                continue
-            if abs((t[b] - t[a]) - (x[b] - x[a])) > tol * s:
-                viol.append(
-                    f"slope {(t[b] - t[a]) / (x[b] - x[a]):.6f} != 1 inside ({iv.lo}, {iv.hi})"
-                )
+    for iv, slope in slope1_violations(t, x, t, sol.irreducibles, tol * s, tol * s):
+        viol.append(f"slope {slope:.6f} != 1 inside ({iv.lo}, {iv.hi})")
     ok = adm.ok and len(viol) == len(adm.violations)
     return SlopeReport(ok, adm.ok, tuple(viol))
 

@@ -64,6 +64,21 @@ def mix_pair(rng, n, m):
     return tuple(out)
 
 
+def spread_pair(rng, n):
+    """eta <=_c nu by a mean-preserving spread, drawn as the benchmark's
+    scale workload draws it: each atom x_i of eta splits into x_i -+ d_i with
+    half its mass, d_i ~ U(0, 18/n)."""
+    x, p = rng.uniform(-3.0, 3.0, n), rng.dirichlet(np.ones(n))
+    d = rng.uniform(0.0, 3.0 * 6.0 / n, n)
+    y = np.concatenate([x - d, x + d])
+    q = np.concatenate([p, p]) / 2.0
+    out = []
+    for a, w in ((x, p), (y, q)):
+        order = np.argsort(a)
+        out.append(DiscreteMeasure(a[order], w[order] / w.sum()))
+    return tuple(out)
+
+
 def nth_mix_pair(seed, index, sizes):
     """The index-th pair (counting from 1) of mix_pair draws from
     default_rng(seed); draw k has n = m = sizes[(k - 1) % len(sizes)]."""

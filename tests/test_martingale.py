@@ -21,6 +21,7 @@ from wmrline import (
     decompose_martingale,
     find_two_point_improvement,
     identity_coupling,
+    irreducible_components,
     mean,
     measures_close,
     optimality_certificate,
@@ -194,6 +195,64 @@ class TestDecomposeMartingale:
         bad = Coupling(nu, nu, np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5]))
         with pytest.raises(StructureError):
             decompose_martingale(bad)
+
+
+def _decompose_loop(mg, tol=1e-9):
+    """The entry-by-entry scan decompose_martingale replaced, kept as its
+    reference: (components, fixed, ambiguous sources) or the error message."""
+    comps = irreducible_components(mg.source, mg.target, strictness=0.0)
+    margin = tol * support_scale(mg.source, mg.target)
+    entries, fixed, ambiguous = [[] for _ in comps], [], set()
+    src, tgt = mg.source.atoms[mg.rows].tolist(), mg.target.atoms[mg.cols].tolist()
+    for k, (x, y) in enumerate(zip(src, tgt)):
+        where = next((c for c, iv in enumerate(comps) if iv.contains(x, margin)), None)
+        if where is None:
+            if any(abs(x - e) <= margin for iv in comps for e in (iv.lo, iv.hi)):
+                ambiguous.add(x)
+            if abs(y - x) > margin:
+                return f"entry {k}: source {x} lies in the fixed set F but moves to {y}"
+            fixed.append(k)
+        elif not (comps[where].lo - margin <= y <= comps[where].hi + margin):
+            iv = comps[where]
+            return (
+                f"entry {k}: source {x} in ({iv.lo}, {iv.hi}) targets {y} "
+                "outside the interval closure"
+            )
+        else:
+            entries[where].append(k)
+    return [(iv, e) for iv, e in zip(comps, entries)], fixed, sorted(ambiguous)
+
+
+class TestDecomposeAgainstLoop:
+    def test_same_assignments_and_first_offending_entry(self):
+        # clustered targets and wide offsets make decompose_martingale raise
+        # on some couplings; the first offending entry must not change
+        rng = np.random.default_rng(8)
+        outcomes = set()
+        for k in range(120):
+            n = int(rng.integers(1, 20))
+            mu, nu = mix_pair(rng, n, int(rng.integers(1, 20)))
+            if k % 3 == 1:
+                y = nu.atoms[:, None] + np.cumsum(10.0 ** rng.uniform(-10, -6, (nu.n, 3)), axis=1)
+                nu = dm(y.ravel(), np.repeat(nu.weights, 3) / 3.0)
+            mg = build_martingale_coupling(solve_weak_transport(mu, nu).pushforward, nu)
+            if k % 3 == 2:
+                # the entries moved to a wide offset; the barycenter gate of a
+                # MartingaleCoupling is not what this test is about
+                offset = float(rng.uniform(-1e6, 1e6))
+                mg = Coupling(mg.source.shift(offset), nu.shift(offset), mg.rows, mg.cols, mg.mass)
+            want = _decompose_loop(mg)
+            try:
+                dec = decompose_martingale(mg)
+            except StructureError as err:
+                assert str(err) == want
+                outcomes.add("raised")
+                continue
+            assert [(iv, idx.tolist()) for iv, idx in dec.components] == want[0]
+            assert dec.fixed.tolist() == want[1]
+            assert list(dec.ambiguous_sources) == want[2]
+            outcomes.add("decomposed")
+        assert outcomes == {"raised", "decomposed"}
 
 
 # (seed, index, n): the index-th mix_pair draw of default_rng(seed) at n = m

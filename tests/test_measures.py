@@ -17,11 +17,12 @@ from wmrline import (
     read_measure_csv,
     support_scale,
     wasserstein,
+    weak_monotone_rearrangement,
     write_measure_csv,
 )
 from wmrline.measures import parse_measure_csv
 
-from conftest import dirac, dm, random_measure, random_ordered_pair
+from conftest import dirac, dm, mix_pair, random_measure, random_ordered_pair, spread_pair
 
 
 class TestDiscreteMeasure:
@@ -29,6 +30,17 @@ class TestDiscreteMeasure:
         m = dm([1.0, -1.0, 1.0], [0.25, 0.5, 0.25])
         assert np.allclose(m.atoms, [-1.0, 1.0])
         assert np.allclose(m.weights, [0.5, 0.5])
+
+    def test_exact_duplicates_keep_their_position_at_wide_offsets(self):
+        # at |X| >= 1e5 the ulp exceeds the merge tolerance, so only the exact
+        # duplicates merge; their barycenter must stay X, between its
+        # neighbours one ulp away
+        rng = np.random.default_rng(77)
+        for _ in range(2000):
+            X = float(rng.uniform(1e5, 1e6)) * float(rng.choice([-1.0, 1.0]))
+            u = abs(float(np.spacing(X)))
+            m = DiscreteMeasure(np.array([X - u, X, X, X + u]), rng.dirichlet(np.ones(4)))
+            assert np.array_equal(m.atoms, [X - u, X, X + u])
 
     def test_rejects_bad_weight_sum(self):
         with pytest.raises(ValueError):
@@ -189,6 +201,26 @@ class TestIrreducibleComponents:
                 covered |= (grid >= iv.lo - 1e-6 * s) & (grid <= iv.hi + 1e-6 * s)
             assert np.all(diff[~covered] <= 1e-6 * s)
 
+    def test_endpoints_match_the_run_loop_bit_for_bit(self):
+        # CLI documents print the endpoints, so the array form must reproduce
+        # the scalar run-by-run scan exactly
+        rng = np.random.default_rng(20)
+        nonempty = 0
+        for k in range(150):
+            n = int(rng.integers(1, 40))
+            if k % 3 == 0:
+                a, b = spread_pair(rng, n)
+            else:
+                mu, b = mix_pair(rng, n, int(rng.integers(1, 40)))
+                a = weak_monotone_rearrangement(mu, b).pushforward
+            if k % 5 == 0:
+                a, b = a.shift(1e6), b.shift(1e6)
+            for strictness in (None, 0.0):
+                got = irreducible_components(a, b, strictness=strictness)
+                assert [(iv.lo, iv.hi) for iv in got] == _components_loop(a, b, strictness)
+                nonempty += bool(got)
+        assert nonempty > 200
+
     def test_endpoints_touch(self, rng):
         for _ in range(25):
             a, b = random_ordered_pair(rng, max_atoms=7)
@@ -196,6 +228,43 @@ class TestIrreducibleComponents:
             for iv in irreducible_components(a, b):
                 for e in (iv.lo, iv.hi):
                     assert abs(potential_at(a, e)[0] - potential_at(b, e)[0]) <= 1e-7 * s
+
+
+def _components_loop(a, b, strictness):
+    """The run-by-run scan irreducible_components replaced, kept as its reference."""
+    s = support_scale(a, b)
+    thr = (1e-9 if strictness is None else strictness) * s
+    grid = np.union1d(a.atoms, b.atoms)
+    diff = potential_at(b, grid) - potential_at(a, grid)
+
+    def root(k, step):
+        k2 = k + step
+        if k2 < 0 or k2 >= grid.size:
+            return float(grid[k])
+        d0, d1 = diff[k], diff[k2]
+        if d1 >= d0:
+            return float(grid[k2])
+        r = grid[k] + d0 / (d0 - d1) * (grid[k2] - grid[k])
+        lo, hi = sorted((float(grid[k]), float(grid[k2])))
+        return float(min(max(r, lo), hi))
+
+    def snap(r):
+        near = float(grid[np.argmin(np.abs(grid - r))])
+        return near if abs(near - r) <= thr else r
+
+    out, i = [], 0
+    while i < grid.size:
+        if diff[i] <= thr:
+            i += 1
+            continue
+        j = i
+        while j + 1 < grid.size and diff[j + 1] > thr:
+            j += 1
+        lo, hi = snap(root(i, -1)), snap(root(j, +1))
+        if hi > lo:
+            out.append((lo, hi))
+        i = j + 1
+    return out
 
 
 class TestWasserstein:

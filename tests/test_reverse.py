@@ -24,10 +24,14 @@ from wmrline import (
 from conftest import (
     dirac,
     dm,
+    mix_pair,
+    nth_mix_pair,
     random_measure,
     random_one_lipschitz_values,
     random_ordered_pair,
+    spread_pair,
 )
+from wmrline.measures import quantiles_at
 
 
 class TestReverseOptimizer:
@@ -97,6 +101,44 @@ class TestReverseOptimizer:
                 checked += 1
                 assert convex_order_leq(r.nu_star, eta)
         assert checked > 50
+
+
+class TestReverseClosedForm:
+    def test_nu_star_is_the_shifted_quantile(self):
+        # nu* is the law of F_nu^{-1}(U) + d(F_mu^{-1}(U)), d = x - T(x), and
+        # the reverse map sends it back to F_nu^{-1}(U)
+        rng = np.random.default_rng(5)
+        for k in range(60):
+            n, m = (int(v) for v in rng.integers(1, 30, 2))
+            mu, nu = mix_pair(rng, n, m)
+            if k % 3 == 0:
+                nu = nu.shift(float(rng.uniform(-1.0, 1.0)))
+            r = reverse_optimizer(mu, nu)
+            d = mu.atoms - solve_weak_transport(mu, nu).map(mu.atoms)
+            u = rng.uniform(0.0, 1.0, 500)
+            z = quantiles_at(r.nu_star, u)
+            s = support_scale(mu, nu)
+            shift = np.interp(quantiles_at(mu, u), mu.atoms, d)
+            assert np.abs(z - quantiles_at(nu, u) - shift).max() <= 1e-9 * s
+            assert np.abs(r.tilde_map(z) - quantiles_at(nu, u)).max() <= 1e-9 * s
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_ordered_spread_pair_of_the_scale_workload(self, n):
+        # the first spread_pair draw of default_rng(7): eta <=_c nu, so
+        # nu* = nu and the reverse map is the identity
+        eta, nu = spread_pair(np.random.default_rng(7), n)
+        r = reverse_optimizer(eta, nu)
+        assert measures_close(r.nu_star, nu, 1e-12)
+        assert np.array_equal(r.tilde_map.knots_t, r.tilde_map.knots_x)
+        assert r.value == 0.0
+
+    def test_pair_whose_close_target_atoms_split_an_interval(self):
+        # two nu atoms 1.7e-6 apart, with a potential gap below the order
+        # tolerance between them, split one irreducible interval in two
+        mu, nu = nth_mix_pair(0, 4, (25, 50, 100, 200))
+        assert mu.n == nu.n == 200
+        r = reverse_optimizer(mu, nu)
+        assert r.value == pytest.approx(solve_weak_transport(mu, nu).value, rel=1e-9)
 
 
 class TestConvexOrderMaxMap:

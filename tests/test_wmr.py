@@ -18,6 +18,7 @@ from wmrline import (
     measures_close,
     oracle_solve,
     project_admissible,
+    reverse_optimizer,
     smooth_strictify,
     solve_weak_transport,
     support_scale,
@@ -28,7 +29,7 @@ from wmrline import (
     weak_monotone_rearrangement,
 )
 from wmrline import qp
-from wmrline.wmr import kkt_residual, transport_polyhedron
+from wmrline.wmr import kkt_residual, slope1_violations, transport_polyhedron
 
 from conftest import dirac, dm, mix_pair, nth_mix_pair, random_measure
 
@@ -235,6 +236,42 @@ class TestVerifiers:
                     assert abs(slope_deficit) <= 1e-7 * s
 
 
+def _slope1_loop(points, x, y, intervals, margin, tol):
+    """The per-interval scan slope1_violations replaced, kept as its reference."""
+    out = []
+    for iv in intervals:
+        inside = [i for i in range(len(points)) if iv.contains(float(points[i]), margin)]
+        for a, b in zip(inside, inside[1:]):
+            if b == a + 1 and abs((y[b] - y[a]) - (x[b] - x[a])) > tol:
+                out.append((iv, float((y[b] - y[a]) / (x[b] - x[a]))))
+    return out
+
+
+class TestSlope1Violations:
+    def test_matches_the_per_interval_loop(self):
+        rng = np.random.default_rng(41)
+        found = 0
+        for _ in range(150):
+            n, m = (int(v) for v in rng.integers(2, 25, 2))
+            mu, nu = mix_pair(rng, n, m)
+            sol = solve_weak_transport(mu, nu)
+            x = mu.atoms
+            t = sol.map(x)
+            # the optimum, a rounding-level nudge of it, and two non-monotone
+            # candidates whose images visit the intervals out of order
+            for y in (t, t + rng.normal(0.0, 1e-7, n), rng.permutation(t), rng.uniform(-2, 2, n)):
+                for margin, tol in ((1e-7, 1e-7), (0.0, 0.0), (1e-3, 1e-9)):
+                    for points in (y, x):
+                        got = slope1_violations(points, x, y, sol.irreducibles, margin, tol)
+                        assert got == _slope1_loop(points, x, y, sol.irreducibles, margin, tol)
+                        found += len(got)
+        assert found > 1000
+
+    def test_no_intervals_no_violations(self):
+        x = np.array([0.0, 1.0, 2.0])
+        assert slope1_violations(x, x, np.zeros(3), [], 0.0, 0.0) == []
+
+
 class TestMaximality:
     def test_collapse_below_rearrangement(self):
         mu, nu = dm([-2, 2]), dm([-1, 1])
@@ -335,6 +372,9 @@ def _assert_certified(mu, nu, cost=None):
     s = support_scale(mu, nu)
     assert sol.kkt_residual <= 1e-8 * s
     assert verify_admissible(sol.map, mu, nu).ok
+    # the reverse construction checks its own postconditions and raises
+    # ConsistencyError when one fails
+    reverse_optimizer(mu, nu, cost)
     return sol
 
 
