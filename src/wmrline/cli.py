@@ -20,6 +20,7 @@ from .errors import WmrError
 from .measures import (
     DiscreteMeasure,
     convex_order_leq,
+    interval_index,
     irreducible_components,
     mean,
     potential,
@@ -292,40 +293,35 @@ def plot_segments(sol, mu) -> list[dict]:
     if x.size < 2:
         return []
     s = max(1.0, float(x[-1] - x[0]))
-    cuts = set(map(float, x))
-    for iv in sol.irreducibles:
-        for e in (iv.lo, iv.hi):
-            for i in range(x.size - 1):
-                t0, t1 = t[i], t[i + 1]
-                if (t0 < e < t1) or (t1 < e < t0):
-                    xc = x[i] + (x[i + 1] - x[i]) * (e - t0) / (t1 - t0)
-                    cuts.add(float(xc))
-    grid = np.array(sorted(cuts))
-    segs = []
-    for a, b in zip(grid[:-1], grid[1:]):
-        mid = 0.5 * (a + b)
-        image = float(sol.map(mid)[0])
-        cls = "contractive"
-        for ci, iv in enumerate(sol.irreducibles):
-            if iv.contains(image, 1e-12 * s):
-                cls = f"martingale[{ci}]"
-                break
-        segs.append(
-            {
-                "x0": float(a),
-                "t0": float(sol.map(a)[0]),
-                "x1": float(b),
-                "t1": float(sol.map(b)[0]),
-                "class": cls,
-            }
-        )
-    merged = [segs[0]]
-    for seg in segs[1:]:
-        if seg["class"] == merged[-1]["class"]:
-            merged[-1] = {**merged[-1], "x1": seg["x1"], "t1": seg["t1"]}
-        else:
-            merged.append(seg)
-    return merged
+    # segment i crosses an endpoint e strictly when lo_i < e < hi_i. The map
+    # is nondecreasing up to rounding, so the segments that do lie between
+    # the first whose running max of hi exceeds e and the last whose suffix
+    # min of lo is below it: one segment, or a few on a rounding-level plateau
+    e = np.array([end for iv in sol.irreducibles for end in (iv.lo, iv.hi)])
+    lo, hi = np.minimum(t[:-1], t[1:]), np.maximum(t[:-1], t[1:])
+    first = np.searchsorted(np.maximum.accumulate(hi), e, side="right")
+    count = np.maximum(np.searchsorted(np.minimum.accumulate(lo[::-1])[::-1], e) - first, 0)
+    i = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    e = np.repeat(e, count)
+    cross = (lo[i] < e) & (e < hi[i])
+    i, e = i[cross], e[cross]
+    t0, t1 = t[i], t[i + 1]
+    grid = np.unique(np.concatenate((x, x[i] + (x[i + 1] - x[i]) * (e - t0) / (t1 - t0))))
+    comp = interval_index(sol.irreducibles, sol.map(0.5 * (grid[:-1] + grid[1:])), 1e-12 * s)
+    # consecutive pieces of one class merge
+    start = np.flatnonzero(np.diff(comp, prepend=-2))
+    stop = np.append(start[1:], comp.size)
+    image = sol.map(grid)
+    return [
+        {
+            "x0": float(grid[a]),
+            "t0": float(image[a]),
+            "x1": float(grid[b]),
+            "t1": float(image[b]),
+            "class": "contractive" if comp[a] < 0 else f"martingale[{comp[a]}]",
+        }
+        for a, b in zip(start.tolist(), stop.tolist())
+    ]
 
 
 def segments_to_svg(segs, knots_x, knots_t) -> str:

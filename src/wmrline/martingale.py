@@ -23,9 +23,8 @@ from .errors import (
 )
 from .measures import (
     DiscreteMeasure,
+    Interval,
     convex_order_leq,
-    interval_index,
-    irreducible_components,
     mean,
     measures_close,
     nearest_atom,
@@ -193,51 +192,51 @@ class MartingaleDecomposition:
 
 
 def decompose_martingale(mg: MartingaleCoupling, tol: float = 1e-9) -> MartingaleDecomposition:
-    """Assign each mass entry to the irreducible interval of its source atom.
+    """Assign each mass entry to the irreducible component of its row.
 
-    Entries with source in the complement F must be diagonal; component
-    entries must target the closure of their interval. Any violation raises
-    StructureError naming the offending entry, which signals a non-martingale
-    or otherwise inconsistent input.
-
-    The intervals are computed at zero strictness: the decomposition theorem
-    constrains the coupling through the float-exact set
-    {u_source < u_target} of the pair as given, and any positive threshold
-    would split components at noise-level touch points and misflag legal
-    mass movements.
+    The components are read off the coupling itself (Beiglboeck-Juillet):
+    u_source(y) < u_target(y) exactly where some row puts mass strictly on
+    both sides of y. So each row with two or more columns spans the open
+    interval between its outermost target atoms, and overlapping spans merge
+    into one component. A row with a single column is fixed; if it moves its
+    atom by more than tol * scale, StructureError names the entry.
     """
-    comps = irreducible_components(mg.source, mg.target, strictness=0.0)
-    s = support_scale(mg.source, mg.target)
-    margin = tol * s
+    margin = tol * support_scale(mg.source, mg.target)
+    y = mg.target.atoms
     src = mg.source.atoms[mg.rows]
-    tgt = mg.target.atoms[mg.cols]
+    tgt = y[mg.cols]
+    # entries are sorted by row, then column, so a row's span runs from its
+    # first to its last column; sorted by their first column, spans start a
+    # new component where they begin at or past the reach of all before
+    row_start = np.diff(mg.rows, prepend=-1) != 0
+    first = np.flatnonzero(row_start)
+    lo, hi = mg.cols[first], mg.cols[np.append(first[1:], mg.rows.size) - 1]
+    spans = np.flatnonzero(lo < hi)
+    order = spans[np.argsort(lo[spans], kind="stable")]
+    reach = np.maximum.accumulate(np.concatenate(([-1], hi[order])))
+    new = lo[order] >= reach[:-1]
+    comp = np.full(lo.size, -1)
+    comp[order] = np.cumsum(new) - 1
+    start = np.flatnonzero(new)
+    ends = zip(y[lo[order][start]].tolist(), y[np.maximum.reduceat(hi[order], start)].tolist())
+    comps = [Interval(a, b) for a, b in ends]
 
-    where = interval_index(comps, src, margin)
-    lo = np.array([iv.lo for iv in comps] + [np.nan])[where]  # nan on the fixed set
-    hi = np.array([iv.hi for iv in comps] + [np.nan])[where]
+    where = comp[np.cumsum(row_start) - 1]
     fixed = where < 0
     moves = fixed & (np.abs(tgt - src) > margin)
-    strays = ~fixed & ~((lo - margin <= tgt) & (tgt <= hi + margin))
-    if np.any(moves | strays):
-        k = int(np.argmax(moves | strays))
-        x_pos, y_pos = float(src[k]), float(tgt[k])
-        if moves[k]:
-            raise StructureError(
-                f"entry {k}: source {x_pos} lies in the fixed set F but moves to {y_pos}"
-            )
-        iv = comps[where[k]]
+    if np.any(moves):
+        k = int(np.argmax(moves))
         raise StructureError(
-            f"entry {k}: source {x_pos} in ({iv.lo}, {iv.hi}) targets {y_pos} "
-            "outside the interval closure"
+            f"entry {k}: source {float(src[k])} lies in the fixed set F but moves to {float(tgt[k])}"
         )
     ambiguous = np.empty(0)
     if comps:
         endpoints = np.array([e for iv in comps for e in (iv.lo, iv.hi)])
         near = endpoints[nearest_atom(endpoints, src)]
         ambiguous = np.unique(src[fixed & (np.abs(src - near) <= margin)])
-    order = np.argsort(where, kind="stable")
+    entry_order = np.argsort(where, kind="stable")
     split = np.cumsum(np.bincount(where[~fixed], minlength=len(comps)))
-    entries = np.split(order[int(fixed.sum()):], split[:-1])
+    entries = np.split(entry_order[int(fixed.sum()):], split[:-1])
     return MartingaleDecomposition(
         components=tuple(zip(comps, entries)),
         fixed=np.flatnonzero(fixed),

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, OrderError
+from .errors import ConsistencyError, DomainError, OrderError
 
 # Base relative tolerance for order comparisons; multiplied by the joint
 # support scale (max(1, diameter)) at every call site.
@@ -162,14 +162,16 @@ def quantiles_at(m: DiscreteMeasure, levels: np.ndarray) -> np.ndarray:
 
 
 def potential_at(m: DiscreteMeasure, y) -> np.ndarray:
-    """u_m(y) = sum_i w_i |x_i - y|, exactly, via prefix sums."""
+    """u_m(y) = sum_i w_i |x_i - y|, exactly, via prefix sums formed in
+    coordinates centred on m's first atom, so that wide offsets cancel before
+    the sums are formed."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     w, x = m.weights, m.atoms
     W = np.concatenate(([0.0], np.cumsum(w)))
-    S = np.concatenate(([0.0], np.cumsum(w * x)))
+    S = np.concatenate(([0.0], np.cumsum(w * (x - x[0]))))
     k = np.searchsorted(x, y, side="right")
     # below-y part contributes y*W_k - S_k, above-y part S_n - S_k - y*(1-W_k)
-    return y * (2.0 * W[k] - W[-1]) + S[-1] - 2.0 * S[k]
+    return (y - x[0]) * (2.0 * W[k] - W[-1]) + S[-1] - 2.0 * S[k]
 
 
 @dataclass(frozen=True)
@@ -226,9 +228,13 @@ def potential(m: DiscreteMeasure) -> PiecewiseLinearFn:
     """Potential function of m: convex, kinks at the atoms, slopes -1/+1 at infinity."""
     vals = potential_at(m, m.atoms)
     fn = PiecewiseLinearFn(m.atoms, vals, -1.0, 1.0, convex=True)
-    mu = mean(m)
-    if np.any(vals < np.abs(m.atoms - mu) - 1e-12 * support_scale(m)):
-        raise AssertionError("potential dropped below |y - mean|")  # unreachable
+    offset = m.atoms - m.atoms[0]  # centred as in potential_at
+    gap = np.abs(offset - np.dot(m.weights, offset)) - vals
+    if gap.max() > 1e-12 * support_scale(m):
+        k = int(np.argmax(gap))
+        raise ConsistencyError(
+            f"potential drops below |y - mean| by {gap[k]:.3e} at atom {k} ({m.atoms[k]!r})"
+        )
     return fn
 
 
@@ -266,35 +272,73 @@ class Interval:
         return self.hi - self.lo
 
 
-def irreducible_components(
-    a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_TOL, strictness: float | None = None
-) -> list[Interval]:
-    """Maximal open intervals where u_a < u_b strictly, for a <=_c b.
+def _quantile_integral(nu: DiscreteMeasure, s: np.ndarray, origin: float = 0.0) -> np.ndarray:
+    """G(s) = int_0^s (F_nu^{-1}(u) - origin) du, piecewise linear with kinks at nu's levels."""
+    cum = np.concatenate(([0.0], nu.cumulative()))
+    atoms = nu.atoms - origin
+    seg = np.concatenate(([0.0], np.cumsum(np.diff(cum) * atoms)))
+    j = np.searchsorted(cum, s, side="left")
+    j = np.clip(j, 1, nu.n)
+    return seg[j - 1] + (s - cum[j - 1]) * atoms[j - 1]
 
-    Endpoints are exact roots of the piecewise-linear difference u_b - u_a on
-    the segments between merged atom grids. Raises OrderError when the
-    convex-order precondition fails (checked at tol). The strict set is
-    thresholded at strictness * scale, defaulting to tol; structural
-    consumers that must match the float-exact set {u_a < u_b} pass 0.
+
+def _order_slack(mu: DiscreteMeasure, nu: DiscreteMeasure, t: np.ndarray) -> np.ndarray:
+    """Slack of t(mu) <=_c nu at mu's levels c_0 = 0, ..., c_n = 1:
+    sum_{j<=k} p_j t_j - G_nu(c_k), in coordinates centred on nu's first atom
+    so that wide offsets cancel before the partial sums are formed.
+
+    t(mu) <=_c nu iff slack_k >= 0 for k < n and slack_n = 0 (equal means).
+    Between two levels the slack is linear minus convex, hence concave, so
+    nu's levels need no rows of their own.
+    """
+    origin = float(nu.atoms[0])
+    c = np.concatenate(([0.0], mu.cumulative()))
+    partial = np.concatenate(([0.0], np.cumsum(mu.weights * (t - origin))))
+    return partial - _quantile_integral(nu, c, origin)
+
+
+def irreducible_components(
+    a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_TOL
+) -> list[Interval]:
+    """Maximal open intervals where u_a < u_b, for a <=_c b.
+
+    Read off the order slack of a at its cumulative levels (_order_slack with
+    a's own atoms); see _slack_components. Every endpoint is an atom of b.
+    Raises OrderError when the convex-order precondition fails (checked at
+    tol); levels where the slack is at most tol * scale count as contacts.
     """
     if not convex_order_leq(a, b, tol):
         raise OrderError("irreducible components require a <=_c b")
-    s = support_scale(a, b)
-    thr = (tol if strictness is None else strictness) * s
-    grid = np.union1d(a.atoms, b.atoms)
-    diff = potential_at(b, grid) - potential_at(a, grid)
-    # runs of grid points where the difference exceeds the threshold: k holds
-    # each run's first and last point, k2 their outer neighbours
-    above = np.zeros(grid.size + 2, dtype=np.int8)
-    above[1:-1] = diff > thr
-    k2 = np.flatnonzero(above[1:] != above[:-1])
-    if not k2.size:
-        return []
-    k = k2.copy()
-    k[1::2] -= 1
-    k2[::2] -= 1
-    ends = _touch_points(grid, diff, k, np.minimum(np.maximum(k2, 0), grid.size - 1), thr)
-    return [Interval(x, y) for x, y in zip(ends[::2].tolist(), ends[1::2].tolist()) if y > x]
+    levels = np.concatenate(([0.0], a.cumulative()))
+    slack = _order_slack(a, b, a.atoms)
+    return _slack_components(levels, slack, b, tol * support_scale(a, b))
+
+
+def _slack_components(levels, slack, b: DiscreteMeasure, thr: float) -> list[Interval]:
+    """Irreducible intervals of eta <=_c b from eta's order slack at its
+    cumulative levels (0 and 1 included), in one O(n + m) pass.
+
+    u_b(y) = u_eta(y) exactly where a contact level (slack 0) lies in
+    [F_b(y-), F_b(y)]. Between two of eta's levels the slack is linear minus
+    convex, hence concave, so contacts occur only at eta's levels or on a
+    whole block that eta and b put on the same atom. Two consecutive contacts
+    c_a < c_b therefore bound the interval from b's atom just above level c_a
+    to b's atom just below level c_b, and none when that is the same atom.
+    Levels with slack <= thr are contacts, and a contact within 1e-12 of one
+    of b's levels counts as that level.
+    """
+    cum = b.cumulative()
+    hit = slack <= thr
+    hit[[0, -1]] = True
+    z = levels[hit]
+    grid = np.concatenate(([0.0], cum))
+    near = grid[nearest_atom(grid, z)]
+    z = np.where(np.abs(near - z) <= 1e-12, near, z)
+    lo = np.searchsorted(cum, z[:-1], side="right")
+    hi = np.searchsorted(cum, z[1:], side="left")
+    keep = lo < hi
+    ends = zip(b.atoms[lo[keep]].tolist(), b.atoms[hi[keep]].tolist())
+    return [Interval(x, y) for x, y in ends]
 
 
 def interval_index(intervals: list[Interval], points, margin: float = 0.0) -> np.ndarray:
@@ -323,25 +367,6 @@ def nearest_atom(grid: np.ndarray, points) -> np.ndarray:
     lower = np.maximum(k - 1, 0)
     upper = np.minimum(k, grid.size - 1)
     return np.where(points - grid[lower] <= grid[upper] - points, lower, upper)
-
-
-def _touch_points(grid, diff, k, k2, tol):
-    """Root of the linear piece of diff between grid[k] and its neighbour
-    grid[k2], for each pair of indices.
-
-    Where diff does not descend toward the neighbour, the neighbour is the
-    touch point; past the support edge (k2 == k) the difference stays
-    positive up to grid[k] itself. A root within tol of the nearer of the two
-    atoms (the lower one on a tie) is that atom: the potential difference
-    kinks there, so the atom is the exact touch point."""
-    d0, d1 = diff[k], diff[k2]
-    g0, g1 = grid[k], grid[k2]
-    lo, hi = np.minimum(g0, g1), np.maximum(g0, g1)
-    descends = d1 < d0
-    root = g0 + d0 / np.where(descends, d0 - d1, 1.0) * (g1 - g0)
-    root = np.where(descends, np.minimum(np.maximum(root, lo), hi), g1)
-    near = np.where(root - lo <= hi - root, lo, hi)
-    return np.where(np.abs(near - root) <= tol, near, root)
 
 
 def wasserstein(a: DiscreteMeasure, b: DiscreteMeasure, rho: float = 1.0) -> float:

@@ -32,9 +32,11 @@ from .measures import (
     DiscreteMeasure,
     Interval,
     _lower_hull,
+    _order_slack,
+    _quantile_integral,
+    _slack_components,
     convex_order_leq,
     interval_index,
-    irreducible_components,
     mean,
     pushforward,
     support_scale,
@@ -190,16 +192,6 @@ class WeakSolution:
 # ---------------------------------------------------------------------------
 
 
-def _quantile_integral(nu: DiscreteMeasure, s: np.ndarray, origin: float = 0.0) -> np.ndarray:
-    """G(s) = int_0^s (F_nu^{-1}(u) - origin) du, piecewise linear with kinks at nu's levels."""
-    cum = np.concatenate(([0.0], nu.cumulative()))
-    atoms = nu.atoms - origin
-    seg = np.concatenate(([0.0], np.cumsum(np.diff(cum) * atoms)))
-    j = np.searchsorted(cum, s, side="left")
-    j = np.clip(j, 1, nu.n)
-    return seg[j - 1] + (s - cum[j - 1]) * atoms[j - 1]
-
-
 def transport_polyhedron(mu: DiscreteMeasure, nu: DiscreteMeasure, lipschitz: bool = False):
     """Constraint matrices for {t : t monotone, t(mu) <=_c nu}.
 
@@ -243,29 +235,6 @@ def transport_polyhedron(mu: DiscreteMeasure, nu: DiscreteMeasure, lipschitz: bo
     return A_eq, b_eq, A_in, b_in
 
 
-def _order_slack(mu: DiscreteMeasure, nu: DiscreteMeasure, t: np.ndarray) -> np.ndarray:
-    """Slack of t(mu) <=_c nu at mu's levels c_0 = 0, ..., c_n = 1:
-    sum_{j<=k} p_j t_j - G_nu(c_k), in coordinates centred on nu's first atom
-    so that wide offsets cancel before the partial sums are formed.
-
-    t(mu) <=_c nu iff slack_k >= 0 for k < n and slack_n = 0 (equal means).
-    Between two levels the slack is linear minus convex, hence concave, so
-    nu's levels need no rows of their own.
-    """
-    origin = float(nu.atoms[0])
-    c = np.concatenate(([0.0], mu.cumulative()))
-    partial = np.concatenate(([0.0], np.cumsum(mu.weights * (t - origin))))
-    return partial - _quantile_integral(nu, c, origin)
-
-
-def _majorant_slopes(c: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Slope on each block (c_{i-1}, c_i] of the least concave majorant of the
-    points (c_k, h_k), taken from the hull segment that covers the block."""
-    v = _lower_hull(c, -h)
-    seg = (h[v[1:]] - h[v[:-1]]) / (c[v[1:]] - c[v[:-1]])
-    return np.repeat(seg, np.diff(v))
-
-
 def kkt_residual(mu: DiscreteMeasure, nu: DiscreteMeasure, t, cost: CostSpec) -> float:
     """Closed-form KKT certificate of map values t for the cost theta, in O(n).
 
@@ -300,7 +269,9 @@ def solve_weak_transport(
     block i moves by the slope of the least concave majorant of (c_k, h_k)
     over it: t_i = x_i + slope. The map is the same for every strictly convex
     cost; only the value depends on theta. When h <= 0 with h_n = 0 (to
-    1e-12 * scale), mu <=_c nu and t = x exactly, with residual 0.
+    1e-12 * scale), mu <=_c nu and t = x exactly, with residual 0. The
+    irreducible intervals of (t(mu), nu) are read off the slack of t at mu's
+    levels, so no potential is evaluated.
 
     The reported residual is kkt_residual() of t under the cost, computed
     from t and the measures alone. The non-strict |x| cost has no unique
@@ -309,20 +280,25 @@ def solve_weak_transport(
     cost = cost or CostSpec.quadratic()
     x, p = mu.atoms, mu.weights
     scale = support_scale(mu, nu)
+    c = np.concatenate(([0.0], mu.cumulative()))
     h = -_order_slack(mu, nu, x)
 
     if h.max() <= 1e-12 * scale and abs(h[-1]) <= 1e-12 * scale:
         # mu <=_c nu: the unconstrained optimum t = x is feasible, value theta(0)
         t = x.copy()
+        slack = -h
         residual = 0.0
     else:
-        c = np.concatenate(([0.0], mu.cumulative()))
-        t = x + _majorant_slopes(c, h)
+        # block i moves by the slope of the majorant over (c_{i-1}, c_i]; the
+        # slack of t is the majorant minus h, exactly 0 at the hull vertices
+        v = _lower_hull(c, -h)
+        t = x + np.repeat(np.diff(h[v]) / np.diff(c[v]), np.diff(v))
+        slack = np.interp(c, c[v], h[v]) - h
         residual = kkt_residual(mu, nu, t, cost if cost.strictly_convex else CostSpec.quadratic())
 
     value = float(np.dot(p, cost.value(x - t)))
     push = pushforward(mu, t)
-    irre = irreducible_components(push, nu, ORDER_TOL)
+    irre = _slack_components(c, slack, nu, ORDER_TOL * support_scale(push, nu))
     return WeakSolution(
         map=MonotoneMap(x, t),
         pushforward=push,

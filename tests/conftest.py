@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wmrline import DiscreteMeasure, MonotoneMap, convex_order_leq, mean
+from wmrline import DiscreteMeasure, MonotoneMap, convex_order_leq, mean, potential_at, support_scale
+from wmrline.measures import ORDER_TOL
 
 
 def dm(atoms, weights=None) -> DiscreteMeasure:
@@ -77,6 +78,53 @@ def spread_pair(rng, n):
         order = np.argsort(a)
         out.append(DiscreteMeasure(a[order], w[order] / w.sum()))
     return tuple(out)
+
+
+def clustered_pair(rng):
+    """n in 1..20 mu atoms U(-3,3); nu is 1-5 clusters of 1-6 atoms around
+    U(-2,2) centres, consecutive atoms 10^U(-10,-6) apart; Dirichlet(1)
+    weights. Drawn n, mu atoms, mu weights, the cluster counts, the gaps, the
+    centres and nu's weights, in that order."""
+    n = int(rng.integers(1, 21))
+    mu = DiscreteMeasure(np.sort(rng.uniform(-3.0, 3.0, n)), rng.dirichlet(np.ones(n)))
+    clusters, per = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+    gaps = 10.0 ** rng.uniform(-10.0, -6.0, (clusters, per))
+    gaps[:, 0] = 0.0
+    y = (rng.uniform(-2.0, 2.0, (clusters, 1)) + np.cumsum(gaps, axis=1)).ravel()
+    return mu, DiscreteMeasure(y, rng.dirichlet(np.ones(y.size)))
+
+
+def offset_pair(rng):
+    """A mix_pair with n, m in 1..20, both shifted by one U(-1e6, 1e6) offset."""
+    n, m = (int(v) for v in rng.integers(1, 21, 2))
+    mu, nu = mix_pair(rng, n, m)
+    offset = float(rng.uniform(-1e6, 1e6))
+    return mu.shift(offset), nu.shift(offset)
+
+
+def potential_gap_violations(intervals, a, b, floor=0.0):
+    """Check intervals as the irreducible intervals of a <=_c b against the
+    potentials: each endpoint is an atom of b, u_b - u_a > floor * scale on
+    the kinks inside each interval shrunk by 1e-9 * scale (at its midpoint if
+    none), and u_b - u_a <= ORDER_TOL * scale at every kink off the intervals.
+    Returns the failures as strings."""
+    s = support_scale(a, b)
+    grid = np.union1d(a.atoms, b.atoms)
+    diff = potential_at(b, grid) - potential_at(a, grid)
+    out = []
+    off = np.ones(grid.size, dtype=bool)
+    for iv in intervals:
+        if not np.isin([iv.lo, iv.hi], b.atoms).all():
+            out.append(f"an endpoint of ({iv.lo}, {iv.hi}) is not an atom of b")
+        off &= ~((grid > iv.lo) & (grid < iv.hi))
+        inside = (grid > iv.lo + 1e-9 * s) & (grid < iv.hi - 1e-9 * s)
+        ys = grid[inside] if inside.any() else np.array([0.5 * (iv.lo + iv.hi)])
+        low = float((potential_at(b, ys) - potential_at(a, ys)).min())
+        if not low > floor * s:
+            out.append(f"u_b - u_a drops to {low:.3e} inside ({iv.lo}, {iv.hi})")
+    if off.any() and diff[off].max() > ORDER_TOL * s:
+        out.append(f"u_b - u_a reaches {diff[off].max():.3e} off the intervals")
+    return out
 
 
 def nth_mix_pair(seed, index, sizes):

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import wmrline.measures
 from wmrline import map_decomposition, read_measure_csv, solve_weak_transport, write_measure_csv
 from wmrline.cli import main, plot_segments
 
-from conftest import dm
+from conftest import clustered_pair, dm, mix_pair, spread_pair
 
 
 @pytest.fixture
@@ -42,6 +43,18 @@ class TestExitCodes:
 
     def test_missing_file_is_exit_two(self, measure_files):
         assert main(["wmr", "/nonexistent/mu.csv", measure_files["nu2"]]) == 2
+
+    def test_failed_potential_check_is_exit_one(self, measure_files, monkeypatch, capsys):
+        lowered = wmrline.measures.potential_at
+        monkeypatch.setattr(wmrline.measures, "potential_at", lambda m, y: lowered(m, y) - 1e-6)
+        assert main(["potential", measure_files["b4"]]) == 1
+        assert "potential drops below |y - mean|" in capsys.readouterr().err
+
+    def test_wide_offset_potential(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "far.csv"
+        write_measure_csv(dm(1e5 + rng.uniform(-3.0, 3.0, 14), rng.dirichlet(np.ones(14))), path)
+        assert main(["potential", str(path)]) == 0
 
     def test_false_verdict_still_exit_zero(self, measure_files, capsys):
         assert main(["check-order", measure_files["mu2"], measure_files["nu2"]]) == 0
@@ -165,3 +178,50 @@ class TestPlotPartition:
         svg = out.read_text()
         assert svg.startswith("<svg")
         assert 'class="martingale"' in svg and 'class="contractive"' in svg
+
+    def test_matches_the_per_endpoint_loop(self):
+        rng = np.random.default_rng(30)
+        for k in range(150):
+            n = int(rng.integers(1, 30))
+            if k % 3 == 0:
+                mu, nu = mix_pair(rng, n, int(rng.integers(1, 30)))
+            elif k % 3 == 1:
+                mu, nu = spread_pair(rng, n)
+            else:
+                mu, nu = clustered_pair(rng)
+            sol = solve_weak_transport(mu, nu)
+            assert plot_segments(sol, mu) == _plot_segments_loop(sol), k
+
+
+def _plot_segments_loop(sol):
+    """The endpoint-by-knot scan plot_segments replaced, kept as its reference."""
+    x = sol.map.knots_x
+    t = sol.map.knots_t
+    if x.size < 2:
+        return []
+    s = max(1.0, float(x[-1] - x[0]))
+    cuts = set(map(float, x))
+    for iv in sol.irreducibles:
+        for e in (iv.lo, iv.hi):
+            for i in range(x.size - 1):
+                t0, t1 = t[i], t[i + 1]
+                if (t0 < e < t1) or (t1 < e < t0):
+                    cuts.add(float(x[i] + (x[i + 1] - x[i]) * (e - t0) / (t1 - t0)))
+    grid = np.array(sorted(cuts))
+    segs = []
+    for a, b in zip(grid[:-1], grid[1:]):
+        image = float(sol.map(0.5 * (a + b))[0])
+        cls = "contractive"
+        for ci, iv in enumerate(sol.irreducibles):
+            if iv.contains(image, 1e-12 * s):
+                cls = f"martingale[{ci}]"
+                break
+        seg = {"x0": float(a), "t0": float(sol.map(a)[0]), "x1": float(b), "t1": float(sol.map(b)[0])}
+        segs.append({**seg, "class": cls})
+    merged = [segs[0]]
+    for seg in segs[1:]:
+        if seg["class"] == merged[-1]["class"]:
+            merged[-1] = {**merged[-1], "x1": seg["x1"], "t1": seg["t1"]}
+        else:
+            merged.append(seg)
+    return merged

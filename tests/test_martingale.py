@@ -21,7 +21,6 @@ from wmrline import (
     decompose_martingale,
     find_two_point_improvement,
     identity_coupling,
-    irreducible_components,
     mean,
     measures_close,
     optimality_certificate,
@@ -34,7 +33,17 @@ from wmrline import (
 )
 from wmrline.martingale import parse_coupling_csv
 
-from conftest import dirac, dm, mix_pair, nth_mix_pair, random_measure, random_ordered_pair
+from conftest import (
+    clustered_pair,
+    dirac,
+    dm,
+    mix_pair,
+    nth_mix_pair,
+    offset_pair,
+    potential_gap_violations,
+    random_measure,
+    random_ordered_pair,
+)
 
 
 class TestCouplingTypes:
@@ -197,62 +206,59 @@ class TestDecomposeMartingale:
             decompose_martingale(bad)
 
 
-def _decompose_loop(mg, tol=1e-9):
-    """The entry-by-entry scan decompose_martingale replaced, kept as its
-    reference: (components, fixed, ambiguous sources) or the error message."""
-    comps = irreducible_components(mg.source, mg.target, strictness=0.0)
+def assert_reconstructs(mg, dec, tol=1e-9):
+    """The decomposition partitions the entries; fixed entries are diagonal,
+    and each component entry has its source and target in the closure of its
+    interval."""
     margin = tol * support_scale(mg.source, mg.target)
-    entries, fixed, ambiguous = [[] for _ in comps], [], set()
-    src, tgt = mg.source.atoms[mg.rows].tolist(), mg.target.atoms[mg.cols].tolist()
-    for k, (x, y) in enumerate(zip(src, tgt)):
-        where = next((c for c, iv in enumerate(comps) if iv.contains(x, margin)), None)
-        if where is None:
-            if any(abs(x - e) <= margin for iv in comps for e in (iv.lo, iv.hi)):
-                ambiguous.add(x)
-            if abs(y - x) > margin:
-                return f"entry {k}: source {x} lies in the fixed set F but moves to {y}"
-            fixed.append(k)
-        elif not (comps[where].lo - margin <= y <= comps[where].hi + margin):
-            iv = comps[where]
-            return (
-                f"entry {k}: source {x} in ({iv.lo}, {iv.hi}) targets {y} "
-                "outside the interval closure"
-            )
-        else:
-            entries[where].append(k)
-    return [(iv, e) for iv, e in zip(comps, entries)], fixed, sorted(ambiguous)
+    src, tgt = mg.source.atoms[mg.rows], mg.target.atoms[mg.cols]
+    pieces = [dec.fixed, *(idx for _, idx in dec.components)]
+    assert np.array_equal(np.sort(np.concatenate(pieces)), np.arange(mg.mass.size))
+    assert np.all(np.abs(tgt[dec.fixed] - src[dec.fixed]) <= margin)
+    for iv, idx in dec.components:
+        ends = np.concatenate((src[idx], tgt[idx]))
+        assert np.all((iv.lo - margin <= ends) & (ends <= iv.hi + margin))
 
 
-class TestDecomposeAgainstLoop:
-    def test_same_assignments_and_first_offending_entry(self):
-        # clustered targets and wide offsets make decompose_martingale raise
-        # on some couplings; the first offending entry must not change
-        rng = np.random.default_rng(8)
-        outcomes = set()
-        for k in range(120):
-            n = int(rng.integers(1, 20))
-            mu, nu = mix_pair(rng, n, int(rng.integers(1, 20)))
-            if k % 3 == 1:
-                y = nu.atoms[:, None] + np.cumsum(10.0 ** rng.uniform(-10, -6, (nu.n, 3)), axis=1)
-                nu = dm(y.ravel(), np.repeat(nu.weights, 3) / 3.0)
-            mg = build_martingale_coupling(solve_weak_transport(mu, nu).pushforward, nu)
-            if k % 3 == 2:
-                # the entries moved to a wide offset; the barycenter gate of a
-                # MartingaleCoupling is not what this test is about
-                offset = float(rng.uniform(-1e6, 1e6))
-                mg = Coupling(mg.source.shift(offset), nu.shift(offset), mg.rows, mg.cols, mg.mass)
-            want = _decompose_loop(mg)
+# offset draws whose left-curtain coupling misses the MartingaleCoupling
+# barycenter gate, by 1.05 to 4.3 times its tolerance
+OFFSET_COUPLING_FAILURES = {41, 74, 80, 95, 100}
+
+
+class TestDecomposeStress:
+    """Draw k = 0..149 of default_rng(k), through solve, coupling, compose,
+    certificate and decompose. Before the components were read off the
+    coupling, decompose_martingale raised StructureError on 60 of the
+    clustered draws and on 82 of the offset draws."""
+
+    def test_clustered_targets(self):
+        for k in range(150):
+            mu, nu = clustered_pair(np.random.default_rng(k))
+            mg = run_pipeline(mu, nu)
+            dec = decompose_martingale(mg)
+            assert_reconstructs(mg, dec)
+            ivs = [iv for iv, _ in dec.components]
+            assert potential_gap_violations(ivs, mg.source, nu, floor=-1e-12) == [], k
+
+    def test_wide_offsets(self):
+        below_floor = []
+        for k in range(150):
             try:
-                dec = decompose_martingale(mg)
-            except StructureError as err:
-                assert str(err) == want
-                outcomes.add("raised")
+                mg = run_pipeline(*offset_pair(np.random.default_rng(k)))
+            except CouplingError:
+                assert k in OFFSET_COUPLING_FAILURES, k
                 continue
-            assert [(iv, idx.tolist()) for iv, idx in dec.components] == want[0]
-            assert dec.fixed.tolist() == want[1]
-            assert list(dec.ambiguous_sources) == want[2]
-            outcomes.add("decomposed")
-        assert outcomes == {"raised", "decomposed"}
+            dec = decompose_martingale(mg)
+            assert_reconstructs(mg, dec)
+            ivs = [iv for iv, _ in dec.components]
+            fails = potential_gap_violations(ivs, mg.source, mg.target, floor=-1e-12)
+            assert all(f.startswith("u_b - u_a drops to") for f in fails), k
+            below_floor += [k] if fails else []
+        # the left-curtain coupling leaves rounding-level slivers that join
+        # neighbouring components at a shared target atom, where u_b - u_a is
+        # 0 up to a fraction of the atoms' ulp (5.8e-11..1.2e-10 here), which
+        # exceeds 1e-12 * scale: 25 of these pairs dip below the floor
+        assert len(below_floor) <= 25
 
 
 # (seed, index, n): the index-th mix_pair draw of default_rng(seed) at n = m
@@ -292,13 +298,15 @@ class TestPipelineRegressions:
         assert np.array_equal(np.sort(assigned), np.arange(mg.mass.size))
 
     def test_thousand_atoms(self):
-        # decompose_martingale is left out: at this size it still trips on
-        # rounding-level entries that pass the coupling gate
         mu, nu = nth_mix_pair(0, 1, (1000,))
         start = time.perf_counter()
         mg = run_pipeline(mu, nu)
+        dec = decompose_martingale(mg)
         assert time.perf_counter() - start < 10.0
         assert left_monotone_crossings(mg) == 0
+        assert_reconstructs(mg, dec)
+        ivs = [iv for iv, _ in dec.components]
+        assert potential_gap_violations(ivs, mg.source, nu, floor=-1e-12) == []
 
 
 def left_monotone_crossings(mg):

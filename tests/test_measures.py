@@ -20,9 +20,19 @@ from wmrline import (
     weak_monotone_rearrangement,
     write_measure_csv,
 )
-from wmrline.measures import parse_measure_csv
+from wmrline.measures import ORDER_TOL, _order_slack, parse_measure_csv
 
-from conftest import dirac, dm, mix_pair, random_measure, random_ordered_pair, spread_pair
+from conftest import (
+    clustered_pair,
+    dirac,
+    dm,
+    mix_pair,
+    offset_pair,
+    potential_gap_violations,
+    random_measure,
+    random_ordered_pair,
+    spread_pair,
+)
 
 
 class TestDiscreteMeasure:
@@ -110,6 +120,18 @@ class TestPotential:
             assert np.all(u >= np.abs(ys - mean(m)) - 1e-12)
             outside = (ys < m.atoms[0]) | (ys > m.atoms[-1])
             assert np.allclose(u[outside], np.abs(ys - mean(m))[outside])
+
+
+    def test_wide_offsets(self):
+        # prefix sums formed far from 0 used to drop the potential below
+        # |y - mean| by more than 1e-12 * scale
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            m = random_measure(rng, max_atoms=14)
+            for shift in (1e4, 1e5, 1e6):
+                far = m.shift(shift)
+                u = potential(far)
+                assert np.allclose(u.values, potential_at(m, m.atoms), rtol=0.0, atol=1e-9)
 
 
 class TestConvexOrder:
@@ -201,25 +223,46 @@ class TestIrreducibleComponents:
                 covered |= (grid >= iv.lo - 1e-6 * s) & (grid <= iv.hi + 1e-6 * s)
             assert np.all(diff[~covered] <= 1e-6 * s)
 
-    def test_endpoints_match_the_run_loop_bit_for_bit(self):
-        # CLI documents print the endpoints, so the array form must reproduce
-        # the scalar run-by-run scan exactly
+    def test_intervals_pass_the_potential_oracle(self):
         rng = np.random.default_rng(20)
         nonempty = 0
-        for k in range(150):
-            n = int(rng.integers(1, 40))
-            if k % 3 == 0:
-                a, b = spread_pair(rng, n)
-            else:
-                mu, b = mix_pair(rng, n, int(rng.integers(1, 40)))
-                a = weak_monotone_rearrangement(mu, b).pushforward
-            if k % 5 == 0:
-                a, b = a.shift(1e6), b.shift(1e6)
-            for strictness in (None, 0.0):
-                got = irreducible_components(a, b, strictness=strictness)
-                assert [(iv.lo, iv.hi) for iv in got] == _components_loop(a, b, strictness)
-                nonempty += bool(got)
-        assert nonempty > 200
+        for k in range(1200):
+            a, b = _structured_pair(rng, k)
+            got = irreducible_components(a, b)
+            assert potential_gap_violations(got, a, b) == [], k
+            nonempty += bool(got)
+        assert nonempty > 1000
+
+    def test_agrees_with_the_potential_loop_on_well_separated_inputs(self):
+        # well separated: every slack and every potential gap at the kinks is
+        # rounding-level or above 10 * tol, and atoms of a and b either
+        # coincide or lie more than 10 * tol apart. Inside the band the two
+        # constructions may cut different (equally valid) intervals.
+        rng = np.random.default_rng(21)
+        separated = 0
+        for k in range(1200):
+            a, b = _structured_pair(rng, k)
+            s = support_scale(a, b)
+            tol = ORDER_TOL * s
+            grid = np.union1d(a.atoms, b.atoms)
+            gaps = np.concatenate((_order_slack(a, b, a.atoms), potential_at(b, grid) - potential_at(a, grid)))
+            dist = np.abs(a.atoms[:, None] - b.atoms[None, :])
+            if not (
+                np.all((np.abs(gaps) <= 1e-14 * s) | (gaps > 10 * tol))
+                and np.all((dist == 0.0) | (dist > 10 * tol))
+            ):
+                continue
+            separated += 1
+            got = [(iv.lo, iv.hi) for iv in irreducible_components(a, b)]
+            assert got == _components_loop(a, b, tol), k
+        assert separated > 300
+
+    def test_solution_intervals_equal_the_public_construction(self):
+        rng = np.random.default_rng(22)
+        for k in range(600):
+            mu, nu = _structured_pair(rng, k, solve=False)
+            sol = weak_monotone_rearrangement(mu, nu)
+            assert sol.irreducibles == irreducible_components(sol.pushforward, nu), k
 
     def test_endpoints_touch(self, rng):
         for _ in range(25):
@@ -230,10 +273,23 @@ class TestIrreducibleComponents:
                     assert abs(potential_at(a, e)[0] - potential_at(b, e)[0]) <= 1e-7 * s
 
 
-def _components_loop(a, b, strictness):
-    """The run-by-run scan irreducible_components replaced, kept as its reference."""
-    s = support_scale(a, b)
-    thr = (1e-9 if strictness is None else strictness) * s
+def _structured_pair(rng, k, solve=True):
+    """Mix, spread, clustered and 1e6-offset pairs in turn; with solve, the
+    mu of each unordered pair is replaced by its rearrangement's pushforward."""
+    kind = k % 4
+    if kind == 1:
+        return spread_pair(rng, int(rng.integers(1, 40)))
+    if kind == 0:
+        mu, nu = mix_pair(rng, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+    else:
+        mu, nu = (clustered_pair if kind == 2 else offset_pair)(rng)
+    return (weak_monotone_rearrangement(mu, nu).pushforward, nu) if solve else (mu, nu)
+
+
+def _components_loop(a, b, thr):
+    """Maximal runs of kinks where u_b - u_a > thr, cut at the roots of the
+    linear pieces next to them (snapped to a kink within thr): the potential
+    construction irreducible_components replaced, kept as a test oracle."""
     grid = np.union1d(a.atoms, b.atoms)
     diff = potential_at(b, grid) - potential_at(a, grid)
 
