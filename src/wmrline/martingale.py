@@ -1,11 +1,12 @@
 """Martingale couplings between convex-ordered discrete measures.
 
-Construction is the left-curtain coupling of Beiglboeck and Juillet: the
-source atoms, left to right, each take their shadow in what is left of the
-target, a quantile window with the atom as barycenter. The module also
-provides composition with a transport map, decomposition over irreducible
-intervals, barycenter maps, optimality certificates, and the two-point
-competitor construction used to falsify suboptimal couplings.
+Construction is the left-curtain coupling of Beiglboeck and Juillet, built
+in one O(n + m) sweep: the source atoms, left to right, each take their
+shadow in what is left of the target, the nearest mass on both sides of the
+atom that has it as barycenter. The module also provides composition with a
+transport map, decomposition over irreducible intervals, barycenter maps,
+optimality certificates, and the two-point competitor construction used to
+falsify suboptimal couplings.
 """
 
 from __future__ import annotations
@@ -61,14 +62,16 @@ class Coupling:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "mass", mass)
-        rs = np.zeros(self.source.n)
-        cs = np.zeros(self.target.n)
-        np.add.at(rs, rows, mass)
-        np.add.at(cs, cols, mass)
-        if np.abs(rs - self.source.weights).max() > MARGINAL_TOL:
-            raise CouplingError("row sums do not match the source weights")
-        if np.abs(cs - self.target.weights).max() > MARGINAL_TOL:
-            raise CouplingError("column sums do not match the target weights")
+        n, m = self.source.n, self.target.n
+        try:  # bincount rejects a negative index, and one past the end lengthens its output
+            rs = np.bincount(rows, weights=mass, minlength=n)
+            cs = np.bincount(cols, weights=mass, minlength=m)
+            if rs.size > n or cs.size > m:
+                raise ValueError
+        except ValueError:
+            raise CouplingError("rows and cols must index atoms of the source and the target") from None
+        _gate(np.abs(rs - self.source.weights), MARGINAL_TOL, "row sums do not match the source weights at atom")
+        _gate(np.abs(cs - self.target.weights), MARGINAL_TOL, "column sums do not match the target weights at atom")
 
     def conditional(self, i: int) -> DiscreteMeasure:
         """Normalized conditional distribution of the i-th source atom."""
@@ -79,11 +82,9 @@ class Coupling:
         return DiscreteMeasure(self.target.atoms[self.cols[sel]], w / w.sum())
 
     def row_barycenters(self) -> np.ndarray:
-        num = np.zeros(self.source.n)
-        den = np.zeros(self.source.n)
-        np.add.at(num, self.rows, self.mass * self.target.atoms[self.cols])
-        np.add.at(den, self.rows, self.mass)
-        return num / den
+        n = self.source.n
+        num = np.bincount(self.rows, weights=self.mass * self.target.atoms[self.cols], minlength=n)
+        return num / np.bincount(self.rows, weights=self.mass, minlength=n)
 
     def cost(self, cost: CostSpec) -> float:
         """Barycentric transport cost sum_i p_i theta(x_i - barycenter_i)."""
@@ -99,45 +100,124 @@ class MartingaleCoupling(Coupling):
         super().__post_init__()
         s = support_scale(self.source, self.target)
         gap = np.abs(self.row_barycenters() - self.source.atoms)
-        if gap.max() > BARYCENTER_TOL * s:
-            raise CouplingError(
-                f"martingale barycenter violated by {gap.max():.3e} (tol {BARYCENTER_TOL * s:.3e})"
-            )
+        _gate(gap, BARYCENTER_TOL * s, "martingale barycenter violated at source atom")
+
+
+def _gate(gap: np.ndarray, tol: float, what: str) -> None:
+    """Raise CouplingError naming the worst index of gap when it exceeds tol."""
+    k = int(np.argmax(gap))
+    if gap[k] > tol:
+        raise CouplingError(f"{what} {k}: off by {gap[k]:.3e} (tol {tol:.3e})")
 
 
 def build_martingale_coupling(eta: DiscreteMeasure, nu: DiscreteMeasure) -> MartingaleCoupling:
     """The left-curtain martingale coupling of eta <=_c nu (Beiglboeck-Juillet).
 
     eta's atoms are taken from left to right; atom (x, w) is sent to its
-    shadow in what is left of nu, the quantile window [a, a + w] of the
-    remaining mass whose barycenter is x, and the window is then removed.
-    Each row's support is therefore a contiguous run of what is left of nu,
-    and no later row reaches strictly inside an earlier row's run.
-    Rounding-level slivers (mass <= 1e-12 moving the barycenter by
-    <= 1e-10 * scale) are dropped. Raises OrderError when eta <=_c nu fails.
+    shadow in what is left of nu: the mass at x first, then the nearest alpha
+    of mass below x and the nearest w - alpha above, with alpha such that the
+    barycenter is x. The window is then removed, so each row's support is a
+    contiguous run of what is left of nu, and no later row reaches strictly
+    inside an earlier row's run.
+
+    The build is one sweep in O(n + m). nu's atoms with mass left form a
+    linked list, and a row grows its window outward from x one atom at a
+    time, always on a side that is short: while the window holds less than
+    w, the side with the smaller first moment about x; then the side that
+    the bracket test on the two outermost atoms names, until the root lies
+    between them and is solved on that linear piece. A side with nothing
+    left is taken whole. Every scanned atom lies in the window and every
+    emptied atom leaves the list, so the work is linear in n, m and the
+    entries, of which there are at most 2n + m. Rounding-level slivers
+    (mass <= 1e-12 moving the barycenter by <= 1e-10 * scale) are dropped.
+    Raises OrderError when eta <=_c nu fails.
     """
     if not convex_order_leq(eta, nu):
         raise OrderError("martingale coupling requires eta <=_c nu")
     s = support_scale(eta, nu)
-    y = nu.atoms
-    left = nu.weights.copy()  # the part of nu no shadow has taken yet
+    # nu's atoms are nodes 1..m; 0 and m + 1 are sentinels. The atoms with
+    # mass left form a doubly linked list, and an atom leaves it when its
+    # remaining mass reaches exactly 0 (a cut above 0 would drop real mass).
+    m = nu.n
+    y = [0.0, *nu.atoms.tolist(), 0.0]
+    left = [0.0, *nu.weights.tolist(), 1.0]  # the part of nu no shadow has taken yet
+    prv = list(range(-1, m + 1))
+    nxt = list(range(1, m + 3))
+    # eta's atoms increase, so the first node at or above each one, skipping
+    # emptied atoms, is found by one pointer that only moves right
+    first = (np.searchsorted(nu.atoms, eta.atoms) + 1).tolist()
+    p = 1
     rows, cols, mass = [], [], []
-    for i, (x, w) in enumerate(zip(eta.atoms.tolist(), eta.weights.tolist())):
-        # remaining cumulative mass C and quantile integral G, recentred on x;
-        # the window's offset from x, D(a) = G(a + w) - G(a), is nondecreasing
-        # in a and linear between the breakpoints C and C - w
-        C = np.concatenate(([0.0], np.cumsum(left)))
-        G = np.concatenate(([0.0], np.cumsum(left * (y - x))))
-        grid = np.clip(np.sort(np.concatenate((C, C - w)), kind="stable"), 0.0, max(C[-1] - w, 0.0))
-        D = np.maximum.accumulate(np.interp(grid + w, C, G) - np.interp(grid, C, G))
-        a = float(np.interp(0.0, D, grid))
-        take = np.clip(np.minimum(C[1:], a + w) - np.maximum(C[:-1], a), 0.0, left)
-        left -= take
-        j = np.flatnonzero((take > 1e-12) | (take * np.abs(y - x) > 1e-10 * s * w))
-        rows.append(np.full(j.size, i))
-        cols.append(j)
-        mass.append(take[j])
-    rows, cols, mass = (np.concatenate(part) for part in (rows, cols, mass))
+    for i, (x, weight) in enumerate(zip(eta.atoms.tolist(), eta.weights.tolist())):
+        w = weight  # the mass this row has still to place
+        p = max(p, first[i])
+        while left[p] == 0.0:
+            p += 1
+        lo, hi = prv[p], p
+        took = []  # (node, mass) pairs of this row
+        if hi <= m and y[hi] == x:
+            took.append((hi, min(left[hi], w)))
+            w -= left[hi]
+            hi = nxt[hi]
+        # The window takes the nearest alpha of mass below x and the nearest
+        # w - alpha above, with Phi(alpha) = Mom_above(w - alpha) - Mom_below(alpha)
+        # = 0; Phi decreases. Every atom scanned on a side lies in the window:
+        # all but the outermost (ka below, kb above) whole, so only a and b,
+        # their masses, and d, e, their distances to x, take part in the root.
+        A0 = MA0 = B0 = MB0 = a = d = b = e = 0.0
+        ka = kb = 0
+        while w > 0.0:
+            if A0 + a + B0 + b < w:
+                # the window needs more than was scanned: if MA <= MB and the
+                # left part fit in what was scanned, the right part would hold
+                # all of MB and more, so the side with the smaller moment is short
+                if lo > 0 and (hi > m or MA0 + a * d <= MB0 + b * e):
+                    short_left = True
+                elif hi <= m:
+                    short_left = False
+                else:  # nothing is left on either side: take all that was scanned
+                    take_a, take_b = a, b
+                    break
+            else:
+                # r of mass remains for the two outermost atoms, t of it above;
+                # MB0 + t * e - MA0 - (r - t) * d increases in t, and its sign
+                # at the ends of [t_lo, t_hi] tells which side is short
+                r = w - A0 - B0
+                t_lo, t_hi = max(0.0, r - a), min(b, r)
+                if t_hi < r and hi <= m and MB0 + t_hi * e < MA0 + (r - t_hi) * d:
+                    short_left = False
+                elif t_lo > 0.0 and lo > 0 and MB0 + t_lo * e > MA0 + (r - t_lo) * d:
+                    short_left = True
+                else:  # the root, clipped where a short side has nothing left
+                    t = min(max((MA0 + r * d - MB0) / (e + d), t_lo), t_hi)
+                    take_a, take_b = r - t, t
+                    break
+            if short_left:
+                if ka:
+                    took.append((ka, a))
+                    A0 += a
+                    MA0 += a * d
+                ka, a, d = lo, left[lo], x - y[lo]
+                lo = prv[lo]
+            else:
+                if kb:
+                    took.append((kb, b))
+                    B0 += b
+                    MB0 += b * e
+                kb, b, e = hi, left[hi], y[hi] - x
+                hi = nxt[hi]
+        if ka:
+            took.append((ka, min(take_a, a)))
+        if kb:
+            took.append((kb, min(take_b, b)))
+        for k, t in took:
+            left[k] -= t
+            if left[k] == 0.0:
+                nxt[prv[k]], prv[nxt[k]] = nxt[k], prv[k]
+            if t > 1e-12 or t * abs(y[k] - x) > 1e-10 * s * weight:
+                rows.append(i)
+                cols.append(k - 1)
+                mass.append(t)
     return MartingaleCoupling(eta, nu, rows, cols, mass)
 
 
@@ -262,6 +342,16 @@ class CertificateReport:
     violations: tuple = ()
 
 
+def _regroup(rows: np.ndarray, cols: np.ndarray, mass: np.ndarray):
+    """One entry per distinct (row, col), in lexicographic order, holding the
+    sum of that pair's masses taken in their order (a running sum: the stable
+    sort keeps each group's order and bincount adds in it)."""
+    order = np.lexsort((cols, rows))
+    r, c = rows[order], cols[order]
+    new = np.concatenate(([True], (np.diff(r) != 0) | (np.diff(c) != 0)))
+    return r[new], c[new], np.bincount(np.cumsum(new) - 1, weights=mass[order])
+
+
 def optimality_certificate(
     pi: Coupling,
     mu: DiscreteMeasure,
@@ -287,13 +377,8 @@ def optimality_certificate(
     try:
         bary = pi.row_barycenters()
         push = DiscreteMeasure(bary, mu.weights)
-        # regroup entries by merged image atom
         pos = nearest_atom(push.atoms, bary[pi.rows])
-        agg: dict[tuple[int, int], float] = {}
-        for r, cidx, mass in zip(pos, pi.cols, pi.mass):
-            agg[(int(r), int(cidx))] = agg.get((int(r), int(cidx)), 0.0) + float(mass)
-        keys = np.array(sorted(agg))
-        MartingaleCoupling(push, nu, keys[:, 0], keys[:, 1], np.array([agg[tuple(k)] for k in keys]))
+        MartingaleCoupling(push, nu, *_regroup(pos, pi.cols, pi.mass))
     except (CouplingError, ValueError) as err:
         second_ok = False
         viol.append(f"second stage is not a martingale coupling: {err}")

@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from wmrline import (
     CostSpec,
     Coupling,
     CouplingError,
+    DiscreteMeasure,
     DomainError,
     MartingaleCoupling,
     MonotoneMap,
@@ -31,7 +33,8 @@ from wmrline import (
     supports_overlap,
     weak_monotone_rearrangement,
 )
-from wmrline.martingale import parse_coupling_csv
+from wmrline.martingale import _regroup, parse_coupling_csv
+from wmrline.measures import nearest_atom
 
 from conftest import (
     clustered_pair,
@@ -43,6 +46,7 @@ from conftest import (
     potential_gap_violations,
     random_measure,
     random_ordered_pair,
+    spread_pair,
 )
 
 
@@ -60,6 +64,40 @@ class TestCouplingTypes:
             MartingaleCoupling(
                 dm([-2, 2]), dm([-1, 1]), np.array([0, 1]), np.array([0, 1]), np.array([0.5, 0.5])
             )
+
+
+class TestGateMessages:
+    """Each marginal and barycenter gate names its worst index, the margin
+    and the tolerance."""
+
+    def test_row_sums(self):
+        with pytest.raises(CouplingError, match=r"source weights at atom 2: off by 1\.000e-01 \(tol 1\.000e-10\)"):
+            Coupling(
+                dm([-1, 0, 1], [0.2, 0.3, 0.5]),
+                dm([-1, 0, 1]),
+                np.arange(3),
+                np.arange(3),
+                np.array([0.2, 0.3, 0.6]),
+            )
+
+    def test_column_sums(self):
+        with pytest.raises(CouplingError, match=r"target weights at atom 1: off by 2\.500e-01 \(tol 1\.000e-10\)"):
+            Coupling(
+                dm([-1, 1]),
+                dm([-1, 0, 1], [0.25, 0.5, 0.25]),
+                np.array([0, 0, 1]),
+                np.array([0, 1, 2]),
+                np.array([0.25, 0.25, 0.5]),
+            )
+
+    def test_barycenter(self):
+        with pytest.raises(CouplingError, match=r"source atom 1: off by 1\.000e\+00 \(tol 3\.000e-09\)"):
+            MartingaleCoupling(dm([-1, 2]), dm([-1, 1]), np.arange(2), np.arange(2), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("rows,cols", [([0, 2], [0, 1]), ([0, 1], [-1, 1])])
+    def test_indices_out_of_range(self, rows, cols):
+        with pytest.raises(CouplingError, match="must index atoms"):
+            Coupling(dm([-1, 1]), dm([-1, 1]), np.array(rows), np.array(cols), np.array([0.5, 0.5]))
 
 
 class TestBuildMartingaleCoupling:
@@ -100,6 +138,96 @@ class TestBuildMartingaleCoupling:
         a = build_martingale_coupling(eta, nu)
         b = build_martingale_coupling(eta, nu)
         assert np.array_equal(a.rows, b.rows) and np.array_equal(a.mass, b.mass)
+
+
+def left_curtain_loop(eta, nu):
+    """Reference for build_martingale_coupling, O(n*m): each row rebuilds the
+    remaining mass C and the quantile integral G recentred on x over all of
+    nu, finds the window [a, a + w] where D(a) = G(a + w) - G(a) crosses 0 by
+    one interpolation, and takes it. Returns (rows, cols, mass) with the same
+    sliver rule."""
+    s = support_scale(eta, nu)
+    y = nu.atoms
+    left = nu.weights.copy()
+    rows, cols, mass = [], [], []
+    for i, (x, w) in enumerate(zip(eta.atoms.tolist(), eta.weights.tolist())):
+        C = np.concatenate(([0.0], np.cumsum(left)))
+        G = np.concatenate(([0.0], np.cumsum(left * (y - x))))
+        grid = np.clip(np.sort(np.concatenate((C, C - w)), kind="stable"), 0.0, max(C[-1] - w, 0.0))
+        D = np.maximum.accumulate(np.interp(grid + w, C, G) - np.interp(grid, C, G))
+        a = float(np.interp(0.0, D, grid))
+        take = np.clip(np.minimum(C[1:], a + w) - np.maximum(C[:-1], a), 0.0, left)
+        left -= take
+        j = np.flatnonzero((take > 1e-12) | (take * np.abs(y - x) > 1e-10 * s * w))
+        rows.append(np.full(j.size, i))
+        cols.append(j)
+        mass.append(take[j])
+    return tuple(np.concatenate(part) for part in (rows, cols, mass))
+
+
+def reference_pairs():
+    """(label, eta, nu): 60 solved mix pushforwards (n = 5..1000), 60 spread
+    pairs (n = 5..400), and the 150 clustered and 150 1e6-offset draws of
+    TestDecomposeStress, solved."""
+    for k in range(60):
+        rng = np.random.default_rng(7000 + k)
+        n = (5, 20, 100, 300)[k % 4] if k < 58 else 1000
+        mu, nu = mix_pair(rng, n, n)
+        yield f"mix {k}", solve_weak_transport(mu, nu).pushforward, nu
+        yield f"spread {k}", *spread_pair(rng, min(n, 400))
+    for k in range(150):
+        for label, draw in (("clustered", clustered_pair), ("offset", offset_pair)):
+            mu, nu = draw(np.random.default_rng(k))
+            yield f"{label} {k}", solve_weak_transport(mu, nu).pushforward, nu
+
+
+def as_entries(rows, cols, mass):
+    out = {}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), mass.tolist()):
+        out[(r, c)] = out.get((r, c), 0.0) + v
+    return out
+
+
+def gate_outcome(make):
+    try:
+        return make()
+    except CouplingError:
+        return None
+
+
+class TestAgainstLoop:
+    def test_same_entries_and_gate_outcome(self):
+        raised = []
+        for label, eta, nu in reference_pairs():
+            want = left_curtain_loop(eta, nu)
+            ref = gate_outcome(lambda: MartingaleCoupling(eta, nu, *want))
+            got = gate_outcome(lambda: build_martingale_coupling(eta, nu))
+            assert (ref is None) == (got is None), label
+            if got is None:
+                raised.append(label)
+                continue
+            a, b = as_entries(got.rows, got.cols, got.mass), as_entries(*want)
+            assert max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a.keys() | b.keys()) <= 1e-12, label
+        # the offset draws that miss the barycenter gate (see OFFSET_COUPLING_FAILURES)
+        assert raised == [f"offset {k}" for k in sorted(OFFSET_COUPLING_FAILURES)]
+
+    def test_bincount_sums_are_bit_identical_to_add_at(self, rng):
+        """The gates' row and column sums and row_barycenters, now bincounts,
+        equal the np.add.at accumulation they replaced bit for bit."""
+        for k in range(240):
+            n = (6, 15, 60)[k % 3]
+            mu, nu = mix_pair(rng, n, n)
+            sol = solve_weak_transport(mu, nu)
+            mg = build_martingale_coupling(sol.pushforward, nu)
+            for pi in (mg, compose_with_map(mu, sol.map, mg)):
+                for idx, size in ((pi.rows, pi.source.n), (pi.cols, pi.target.n)):
+                    want = np.zeros(size)
+                    np.add.at(want, idx, pi.mass)
+                    assert np.array_equal(np.bincount(idx, weights=pi.mass, minlength=size), want)
+                num, den = np.zeros(pi.source.n), np.zeros(pi.source.n)
+                np.add.at(num, pi.rows, pi.mass * pi.target.atoms[pi.cols])
+                np.add.at(den, pi.rows, pi.mass)
+                assert np.array_equal(pi.row_barycenters(), num / den)
 
 
 def compose_per_atom(mu, map_, mg):
@@ -297,6 +425,15 @@ class TestPipelineRegressions:
         assigned = np.concatenate([dec.fixed, *(idx for _, idx in dec.components)])
         assert np.array_equal(np.sort(assigned), np.arange(mg.mass.size))
 
+    def test_ten_thousand_atoms(self):
+        """An O(n*m) coupling took about 9 s here, one O(m) window search per
+        row; the whole pipeline now has 5 s."""
+        mu, nu = nth_mix_pair(1, 1, (10_000,))
+        start = time.perf_counter()
+        mg = run_pipeline(mu, nu)
+        assert left_monotone_crossings(mg) == 0
+        assert time.perf_counter() - start < 5.0
+
     def test_thousand_atoms(self):
         mu, nu = nth_mix_pair(0, 1, (1000,))
         start = time.perf_counter()
@@ -311,7 +448,33 @@ class TestPipelineRegressions:
 
 def left_monotone_crossings(mg):
     """Entries of a row i' with a column strictly between the smallest and
-    the largest column of some earlier row i < i'."""
+    the largest column of some earlier row i < i', in O(entries log m).
+
+    Entries are sorted by row, then column. Rows are added in order to a
+    Fenwick tree over columns that keeps, at each row's first column, the
+    largest last column; an entry (i', c) crosses iff the rows before i'
+    whose first column is below c reach past c."""
+    m = mg.target.n
+    reach = [-1] * (m + 1)  # 1-based: a row with first column lo sits at lo + 1
+    cols = mg.cols.tolist()
+    bounds = np.append(np.flatnonzero(np.diff(mg.rows, prepend=-1)), mg.rows.size).tolist()
+    count = 0
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        for c in cols[start:stop]:
+            k, far = c, -1
+            while k > 0:
+                far = max(far, reach[k])
+                k -= k & -k
+            count += far > c
+        k, hi = cols[start] + 1, cols[stop - 1]
+        while k <= m:
+            reach[k] = max(reach[k], hi)
+            k += k & -k
+    return count
+
+
+def left_monotone_crossings_dense(mg):
+    """Reference for left_monotone_crossings on an entries x n mask."""
     n = mg.source.n
     lo = np.full(n, mg.target.n)
     hi = np.full(n, -1)
@@ -326,6 +489,15 @@ class TestLeftCurtain:
     """Beiglboeck-Juillet: the left-curtain coupling is the only martingale
     coupling in which no later source reaches strictly inside the support of
     an earlier one."""
+
+    def test_crossing_count_matches_the_dense_mask(self, rng):
+        for k in range(300):
+            n, m = (int(v) for v in rng.integers(1, 12, 2))
+            cells = rng.random((n, m)) < rng.uniform(0.1, 0.6)
+            cells[np.arange(n), rng.integers(0, m, n)] = True  # every row has an entry
+            rows, cols = np.nonzero(cells)
+            mg = SimpleNamespace(rows=rows, cols=cols, source=SimpleNamespace(n=n), target=SimpleNamespace(n=m))
+            assert left_monotone_crossings(mg) == left_monotone_crossings_dense(mg), k
 
     def test_left_monotone_on_ordered_pairs(self, rng):
         for _ in range(300):
@@ -355,7 +527,32 @@ class TestBarycenterMap:
         assert np.allclose(barycenter_map(pi), [[-2, -1], [2, 1]])
 
 
+def regroup_dict(rows, cols, mass):
+    """Reference for martingale._regroup: a running sum per (row, col) key."""
+    agg = {}
+    for r, c, v in zip(rows, cols, mass):
+        agg[(int(r), int(c))] = agg.get((int(r), int(c)), 0.0) + float(v)
+    keys = np.array(sorted(agg))
+    return keys[:, 0], keys[:, 1], np.array([agg[tuple(k)] for k in keys.tolist()])
+
+
 class TestOptimalityCertificate:
+    def test_regroup_matches_the_dict_loop_bit_for_bit(self, rng):
+        """The certificate's second stage, regrouped by merged image atom."""
+        merged = 0
+        for k in range(240):
+            n = (6, 15, 60)[k % 3]
+            mu, nu = mix_pair(rng, n, n)
+            sol = solve_weak_transport(mu, nu)
+            pi = compose_with_map(mu, sol.map, build_martingale_coupling(sol.pushforward, nu))
+            bary = pi.row_barycenters()
+            pos = nearest_atom(DiscreteMeasure(bary, mu.weights).atoms, bary[pi.rows])
+            got, want = _regroup(pos, pi.cols, pi.mass), regroup_dict(pos, pi.cols, pi.mass)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            merged += got[2].size < pi.mass.size
+        assert merged >= 100  # most draws merge image atoms, so groups have several entries
+
     def test_composed_optimum_passes(self, rng):
         for _ in range(10):
             mu = random_measure(rng, max_atoms=7)
