@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import martingale, reverse, stability
 from .errors import WmrError
 from .measures import (
-    DiscreteMeasure,
+    ORDER_TOL,
     convex_order_leq,
     interval_index,
     irreducible_components,
@@ -31,7 +30,6 @@ from .measures import (
 )
 from .wmr import (
     CostSpec,
-    map_decomposition,
     solve_weak_transport,
     verify_admissible,
     verify_slope1_characterization,
@@ -73,24 +71,9 @@ def render_json(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-@dataclass
-class RunConfig:
-    command: str
-    mu_path: str | None = None
-    nu_path: str | None = None
-    cost: CostSpec = field(default_factory=CostSpec.quadratic)
-    tol: float = 1e-7
-    out: str | None = None
-    fmt: str = "json"
-    seed: int = 0
-    verify: bool = False
-    verify_theta: bool = False
-    extra: dict = field(default_factory=dict)
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def _emit(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -98,23 +81,19 @@ def _emit(config: RunConfig, text: str) -> None:
             sys.stdout.write("\n")
 
 
-def _load(path: str) -> DiscreteMeasure:
-    return read_measure_csv(path)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_potential(config: RunConfig) -> int:
-    m = _load(config.mu_path)
+def cmd_potential(args) -> int:
+    m = read_measure_csv(args.mu)
     u = potential(m)
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["y,u"]
         for y, v in zip(u.breakpoints, u.values):
             lines.append(f"{fmt(y)},{fmt(v)}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
         doc = {
             "schema": 1,
@@ -125,18 +104,18 @@ def cmd_potential(config: RunConfig) -> int:
             "right_slope": u.right_slope,
             "mean": mean(m),
         }
-        _emit(config, render_json(doc) + "\n")
+        _emit(args, render_json(doc) + "\n")
     return EXIT_OK
 
 
-def cmd_check_order(config: RunConfig) -> int:
-    a = _load(config.mu_path)
-    b = _load(config.nu_path)
+def cmd_check_order(args) -> int:
+    a = read_measure_csv(args.mu)
+    b = read_measure_csv(args.nu)
     verdict = convex_order_leq(a, b)
     witness = None
     if not verdict:
         s = support_scale(a, b)
-        if abs(mean(a) - mean(b)) > 1e-9 * s:
+        if abs(mean(a) - mean(b)) > ORDER_TOL * s:
             witness = {"kind": "mean_mismatch", "mean_a": mean(a), "mean_b": mean(b)}
         else:
             gap = potential_at(a, b.atoms) - potential_at(b, b.atoms)
@@ -147,43 +126,43 @@ def cmd_check_order(config: RunConfig) -> int:
                 "excess": float(gap[j]),
             }
     doc = {"schema": 1, "kind": "order_check", "result": verdict, "witness": witness}
-    _emit(config, render_json(doc) + "\n")
+    _emit(args, render_json(doc) + "\n")
     return EXIT_OK
 
 
-def cmd_irreducible(config: RunConfig) -> int:
-    a = _load(config.mu_path)
-    b = _load(config.nu_path)
+def cmd_irreducible(args) -> int:
+    a = read_measure_csv(args.mu)
+    b = read_measure_csv(args.nu)
     comps = irreducible_components(a, b)
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["lo,hi"] + [f"{fmt(iv.lo)},{fmt(iv.hi)}" for iv in comps]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
         doc = {
             "schema": 1,
             "kind": "irreducible_intervals",
             "intervals": [[iv.lo, iv.hi] for iv in comps],
         }
-        _emit(config, render_json(doc) + "\n")
+        _emit(args, render_json(doc) + "\n")
     return EXIT_OK
 
 
-def _solve_with_verification(config: RunConfig, mu, nu):
-    sol = solve_weak_transport(mu, nu, config.cost)
+def _solve_with_verification(args, mu, nu):
+    sol = solve_weak_transport(mu, nu, args.cost)
     doc = sol.to_document()
-    if config.verify:
-        adm = verify_admissible(sol.map, mu, nu, config.tol)
-        slope = verify_slope1_characterization(sol, mu, nu, config.tol)
+    if args.verify:
+        adm = verify_admissible(sol.map, mu, nu, args.tol)
+        slope = verify_slope1_characterization(sol, mu, nu, args.tol)
         mg = martingale.build_martingale_coupling(sol.pushforward, nu)
         pi = martingale.compose_with_map(mu, sol.map, mg)
-        cert = martingale.optimality_certificate(pi, mu, nu, config.cost, config.tol)
+        cert = martingale.optimality_certificate(pi, mu, nu, args.cost, args.tol)
         doc["verification"] = {
             "admissible": adm.ok,
             "slope1_characterization": slope.ok,
             "optimality_certificate": cert.ok,
             "violations": list(adm.violations) + list(slope.violations) + list(cert.violations),
         }
-    if config.verify_theta:
+    if args.verify_theta:
         others = [CostSpec.quartic(), CostSpec.power(3.0)]
         s = support_scale(mu, nu)
         gaps = {}
@@ -192,50 +171,50 @@ def _solve_with_verification(config: RunConfig, mu, nu):
             gaps[other.kind] = wasserstein(sol.pushforward, alt.pushforward, 1.0)
         doc["theta_independence_w1"] = gaps
         if max(gaps.values()) > 1e-6 * s:
-            _emit(config, render_json(doc) + "\n")
+            _emit(args, render_json(doc) + "\n")
             raise WmrError("pushforwards disagree across costs")
     return sol, doc
 
 
-def cmd_wmr(config: RunConfig) -> int:
-    mu = _load(config.mu_path)
-    nu = _load(config.nu_path)
-    _, doc = _solve_with_verification(config, mu, nu)
-    _emit(config, render_json(doc) + "\n")
+def cmd_wmr(args) -> int:
+    mu = read_measure_csv(args.mu)
+    nu = read_measure_csv(args.nu)
+    _, doc = _solve_with_verification(args, mu, nu)
+    _emit(args, render_json(doc) + "\n")
     return EXIT_OK
 
 
-def cmd_value(config: RunConfig) -> int:
-    mu = _load(config.mu_path)
-    nu = _load(config.nu_path)
-    sol, _ = _solve_with_verification(config, mu, nu)
+def cmd_value(args) -> int:
+    mu = read_measure_csv(args.mu)
+    nu = read_measure_csv(args.nu)
+    sol, _ = _solve_with_verification(args, mu, nu)
     doc = {
         "schema": 1,
         "kind": "value",
-        "cost": config.cost.describe(),
+        "cost": args.cost.describe(),
         "value": sol.value,
         "kkt_residual": sol.kkt_residual,
     }
-    _emit(config, render_json(doc) + "\n")
+    _emit(args, render_json(doc) + "\n")
     return EXIT_OK
 
 
-def cmd_reverse(config: RunConfig) -> int:
-    mu = _load(config.mu_path)
-    nu = _load(config.nu_path)
-    rsol = reverse.reverse_optimizer(mu, nu, config.cost)
-    _emit(config, render_json(rsol.to_document()) + "\n")
+def cmd_reverse(args) -> int:
+    mu = read_measure_csv(args.mu)
+    nu = read_measure_csv(args.nu)
+    rsol = reverse.reverse_optimizer(mu, nu, args.cost)
+    _emit(args, render_json(rsol.to_document()) + "\n")
     return EXIT_OK
 
 
-def cmd_compose(config: RunConfig) -> int:
-    mu = _load(config.mu_path)
-    nu = _load(config.nu_path)
-    sol = solve_weak_transport(mu, nu, config.cost)
+def cmd_compose(args) -> int:
+    mu = read_measure_csv(args.mu)
+    nu = read_measure_csv(args.nu)
+    sol = solve_weak_transport(mu, nu, args.cost)
     mg = martingale.build_martingale_coupling(sol.pushforward, nu)
     pi = martingale.compose_with_map(mu, sol.map, mg)
-    if config.fmt == "csv":
-        _emit(config, martingale.coupling_to_csv(pi))
+    if args.fmt == "csv":
+        _emit(args, martingale.coupling_to_csv(pi))
     else:
         doc = {
             "schema": 1,
@@ -244,38 +223,38 @@ def cmd_compose(config: RunConfig) -> int:
                 [float(mu.atoms[r]), float(nu.atoms[c]), float(m)]
                 for r, c, m in zip(pi.rows, pi.cols, pi.mass)
             ],
-            "cost": config.cost.describe(),
-            "barycentric_cost": pi.cost(config.cost),
+            "cost": args.cost.describe(),
+            "barycentric_cost": pi.cost(args.cost),
         }
-        if config.verify:
-            cert = martingale.optimality_certificate(pi, mu, nu, config.cost, config.tol)
+        if args.verify:
+            cert = martingale.optimality_certificate(pi, mu, nu, args.cost, args.tol)
             doc["verification"] = {
                 "optimality_certificate": cert.ok,
                 "violations": list(cert.violations),
             }
-        _emit(config, render_json(doc) + "\n")
+        _emit(args, render_json(doc) + "\n")
     return EXIT_OK
 
 
-def cmd_stability(config: RunConfig) -> int:
-    mu = _load(config.mu_path)
-    nu = _load(config.nu_path)
+def cmd_stability(args) -> int:
+    mu = read_measure_csv(args.mu)
+    nu = read_measure_csv(args.nu)
     ladder = stability.PerturbationLadder(
         mu,
         nu,
-        config.extra["ladder"],
-        length=config.extra["rungs"],
-        rho=config.extra["ladder_rho"],
-        seed=config.seed,
-        step=config.extra["step"],
-        samples=config.extra["samples"],
-        delta0=config.extra["delta0"],
+        args.ladder,
+        length=args.rungs,
+        rho=args.ladder_rho,
+        seed=args.seed,
+        step=args.step,
+        samples=args.samples,
+        delta0=args.delta0,
     )
-    report = stability.run_stability_experiment(ladder, config.cost)
-    if config.fmt == "csv":
-        _emit(config, report.to_csv())
+    report = stability.run_stability_experiment(ladder, args.cost)
+    if args.fmt == "csv":
+        _emit(args, report.to_csv())
     else:
-        _emit(config, render_json(report.to_document()) + "\n")
+        _emit(args, render_json(report.to_document()) + "\n")
     return EXIT_OK
 
 
@@ -362,10 +341,10 @@ def segments_to_svg(segs, knots_x, knots_t) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(config: RunConfig) -> int:
-    mu = _load(config.mu_path)
-    nu = _load(config.nu_path)
-    sol = solve_weak_transport(mu, nu, config.cost)
+def cmd_plot(args) -> int:
+    mu = read_measure_csv(args.mu)
+    nu = read_measure_csv(args.nu)
+    sol = solve_weak_transport(mu, nu, args.cost)
     segs = plot_segments(sol, mu)
     csv_lines = ["x0,t0,x1,t1,class"]
     for seg in segs:
@@ -373,7 +352,7 @@ def cmd_plot(config: RunConfig) -> int:
             f"{fmt(seg['x0'])},{fmt(seg['t0'])},{fmt(seg['x1'])},{fmt(seg['t1'])},{seg['class']}"
         )
     svg = segments_to_svg(segs, list(sol.map.knots_x), list(sol.map.knots_t))
-    out = config.out or "transport_plot.svg"
+    out = args.out or "transport_plot.svg"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     with open(out + ".csv", "w", encoding="utf-8") as fh:
@@ -387,84 +366,60 @@ def cmd_plot(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_cost_flags(p):
-    p.add_argument("--cost", choices=("quadratic", "quartic", "power"), default="quadratic")
-    p.add_argument("--rho", type=float, default=2.0, help="exponent for --cost power")
-    p.add_argument("--tol", type=float, default=1e-7, help="verification tolerance (times scale)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv", "svg"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-
-
-# destinations of the stability-only flags, passed on in RunConfig.extra
-STABILITY_FLAGS = ("ladder", "rungs", "ladder_rho", "step", "samples", "delta0")
+# add_argument keywords of every optional flag but --out, which all
+# subcommands take; each subcommand declares only the flags its handler reads
+FLAGS = {
+    "--cost": {"choices": ("quadratic", "quartic", "power"), "default": "quadratic"},
+    "--rho": {"type": float, "default": 2.0, "help": "exponent for --cost power"},
+    "--tol": {"type": float, "default": 1e-7, "help": "verification tolerance (times scale)"},
+    "--verify": {"action": "store_true"},
+    "--verify-theta": {"action": "store_true"},
+    "--format": {"dest": "fmt", "choices": ("json", "csv"), "default": "json"},
+    "--seed": {"type": int, "default": 0},
+    "--ladder": {"choices": ("shift", "empirical", "quantize"), "default": "shift"},
+    "--rungs": {"type": int, "default": 8},
+    "--ladder-rho": {"type": float, "default": 2.0},
+    "--step": {"type": float, "default": 1.0},
+    "--samples": {"type": int, "default": 1},
+    "--delta0": {"type": float, "default": 1.0},
+}
+COST = ("--cost", "--rho")
+SOLVE = (*COST, "--tol", "--verify", "--verify-theta")
+LADDER = ("--seed", "--ladder", "--rungs", "--ladder-rho", "--step", "--samples", "--delta0")
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wmrline", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, needs_two in (
-        ("potential", False),
-        ("check-order", True),
-        ("irreducible", True),
-        ("wmr", True),
-        ("value", True),
-        ("reverse", True),
-        ("compose", True),
-        ("plot", True),
-        ("stability", True),
+    for name, handler, needs_two, flags in (
+        ("potential", cmd_potential, False, ("--format",)),
+        ("check-order", cmd_check_order, True, ()),
+        ("irreducible", cmd_irreducible, True, ("--format",)),
+        ("wmr", cmd_wmr, True, SOLVE),
+        ("value", cmd_value, True, SOLVE),
+        ("reverse", cmd_reverse, True, COST),
+        ("compose", cmd_compose, True, (*COST, "--tol", "--verify", "--format")),
+        ("plot", cmd_plot, True, COST),
+        ("stability", cmd_stability, True, (*COST, "--format", *LADDER)),
     ):
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("mu", help="measure CSV (atom,weight per line)")
         if needs_two:
             p.add_argument("nu", help="measure CSV (atom,weight per line)")
-        _add_cost_flags(p)
-        if name in ("wmr", "value", "compose"):
-            p.add_argument("--verify", action="store_true")
-            p.add_argument("--verify-theta", action="store_true", dest="verify_theta")
-        if name == "stability":
-            p.add_argument("--ladder", choices=("shift", "empirical", "quantize"), default="shift")
-            p.add_argument("--rungs", type=int, default=8)
-            p.add_argument("--ladder-rho", type=float, default=2.0, dest="ladder_rho")
-            p.add_argument("--step", type=float, default=1.0)
-            p.add_argument("--samples", type=int, default=1)
-            p.add_argument("--delta0", type=float, default=1.0)
+        p.add_argument("--out", default=None)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return ap
 
 
-HANDLERS = {
-    "potential": cmd_potential,
-    "check-order": cmd_check_order,
-    "irreducible": cmd_irreducible,
-    "wmr": cmd_wmr,
-    "value": cmd_value,
-    "reverse": cmd_reverse,
-    "compose": cmd_compose,
-    "plot": cmd_plot,
-    "stability": cmd_stability,
-}
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cost = CostSpec(args.cost, args.rho) if args.cost == "power" else CostSpec(args.cost)
-        flags = vars(args)
-        config = RunConfig(
-            command=args.command,
-            mu_path=args.mu,
-            nu_path=flags.get("nu"),
-            cost=cost,
-            tol=args.tol,
-            out=args.out,
-            fmt=args.fmt,
-            seed=args.seed,
-            **{k: flags[k] for k in ("verify", "verify_theta") if k in flags},
-            extra={k: flags[k] for k in STABILITY_FLAGS if k in flags},
-        )
-        return HANDLERS[args.command](config)
+        if "cost" in args:
+            args.cost = CostSpec(args.cost, args.rho)
+        return args.handler(args)
     except (OSError, ValueError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return EXIT_IO

@@ -26,6 +26,7 @@ from .measures import (
     DiscreteMeasure,
     Interval,
     convex_order_leq,
+    lowest_mass,
     mean,
     measures_close,
     nearest_atom,
@@ -35,6 +36,8 @@ from .wmr import CostSpec, MonotoneMap, weak_monotone_rearrangement
 
 MARGINAL_TOL = 1e-10
 BARYCENTER_TOL = 1e-9
+# points of the competitor curve that find_two_point_improvement tries, in order
+COMPETITOR_ALPHAS = np.linspace(0.999, 0.5, 40)
 
 
 @dataclass(frozen=True)
@@ -403,24 +406,6 @@ def supports_overlap(p: DiscreteMeasure, q: DiscreteMeasure) -> bool:
     return hit(p_lo, p_hi, q_lo, q_hi) or hit(q_lo, q_hi, p_lo, p_hi)
 
 
-def _lower_slice(m: DiscreteMeasure, level: float):
-    """Atoms/weights of m restricted below its level-quantile, boundary included
-    with just enough mass that the slice totals exactly level."""
-    if level <= 0.0:
-        return np.empty(0), np.empty(0)
-    cum = m.cumulative()
-    k = int(np.searchsorted(cum, level, side="left"))
-    k = min(k, m.n - 1)
-    below = cum[k - 1] if k > 0 else 0.0
-    atoms = list(m.atoms[:k])
-    weights = list(m.weights[:k])
-    boundary = level - below
-    if boundary > 0.0:
-        atoms.append(float(m.atoms[k]))
-        weights.append(boundary)
-    return np.array(atoms), np.array(weights)
-
-
 def competitor_curve(p: DiscreteMeasure, q: DiscreteMeasure, alpha: float):
     """The pair (p_a, q_a) with p_a + q_a = p + q, (p_1, q_1) = (p, q).
 
@@ -431,21 +416,11 @@ def competitor_curve(p: DiscreteMeasure, q: DiscreteMeasure, alpha: float):
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
-    pa_lo, pw_lo = _lower_slice(p, alpha)
-    qa_lo, qw_lo = _lower_slice(q, 1.0 - alpha)
-
-    def upper(meas, lo_atoms, lo_weights):
-        w = meas.weights.copy()
-        for a, lw in zip(lo_atoms, lo_weights):
-            i = int(np.searchsorted(meas.atoms, a))
-            w[i] -= lw
-        keep = w > 1e-15
-        return meas.atoms[keep], w[keep]
-
-    pu_a, pu_w = upper(p, pa_lo, pw_lo)
-    qu_a, qu_w = upper(q, qa_lo, qw_lo)
-    p_alpha = DiscreteMeasure(np.concatenate([pa_lo, qa_lo]), np.concatenate([pw_lo, qw_lo]))
-    q_alpha = DiscreteMeasure(np.concatenate([pu_a, qu_a]), np.concatenate([pu_w, qu_w]))
+    lower = (lowest_mass(p.weights, alpha), lowest_mass(q.weights, 1.0 - alpha))
+    upper = np.concatenate([p.weights - lower[0], q.weights - lower[1]])
+    atoms = np.concatenate([p.atoms, q.atoms])
+    p_alpha = DiscreteMeasure(atoms, np.concatenate(lower))
+    q_alpha = DiscreteMeasure(atoms, np.where(upper > 1e-15, upper, 0.0))
     return p_alpha, q_alpha
 
 
@@ -467,7 +442,6 @@ def find_two_point_improvement(
     map_values,
     mg: Coupling,
     cost: CostSpec,
-    alphas=None,
 ) -> TwoPointImprovement | None:
     """Falsification probe for maps breaking the unit-slope geometry.
 
@@ -480,8 +454,6 @@ def find_two_point_improvement(
     t = np.asarray(map_values, dtype=float)
     x = mu.atoms
     s = support_scale(mu, mg.target)
-    if alphas is None:
-        alphas = np.linspace(0.999, 0.5, 40)
     pos = nearest_atom(mg.source.atoms, t)
 
     best = None
@@ -496,7 +468,7 @@ def find_two_point_improvement(
             old = float(cost.value(np.array([x[i] - mean(p)]))[0]) + float(
                 cost.value(np.array([x[j] - mean(q)]))[0]
             )
-            for alpha in alphas:
+            for alpha in COMPETITOR_ALPHAS:
                 pa, qa = competitor_curve(p, q, float(alpha))
                 new = float(cost.value(np.array([x[i] - mean(pa)]))[0]) + float(
                     cost.value(np.array([x[j] - mean(qa)]))[0]

@@ -7,7 +7,7 @@ irreducible intervals, Wasserstein distances and barycentric coarsening.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,6 +161,25 @@ def quantiles_at(m: DiscreteMeasure, levels: np.ndarray) -> np.ndarray:
     return m.atoms[np.minimum(idx, m.n - 1)]
 
 
+def level_blocks(a: DiscreteMeasure, b: DiscreteMeasure):
+    """Blocks of the merged cumulative levels of a and b, as (i, j, width):
+    on the k-th block, of width width[k], a's left-continuous quantile is
+    atom i[k] and b's is atom j[k]. i and j are nondecreasing, and the widths
+    sum to 1 (the comonotone coupling of a and b)."""
+    ca, cb = a.cumulative(), b.cumulative()
+    levels = np.union1d(ca, cb)
+    i = np.minimum(np.searchsorted(ca, levels), a.n - 1)
+    j = np.minimum(np.searchsorted(cb, levels), b.n - 1)
+    return i, j, np.diff(levels, prepend=0.0)
+
+
+def lowest_mass(weights: np.ndarray, amount: float) -> np.ndarray:
+    """The part of each weight that lies in the first amount of the total
+    mass, counted from the first entry."""
+    below = np.concatenate(([0.0], np.cumsum(weights)[:-1]))
+    return np.minimum(weights, np.maximum(amount - below, 0.0))
+
+
 def potential_at(m: DiscreteMeasure, y) -> np.ndarray:
     """u_m(y) = sum_i w_i |x_i - y|, exactly, via prefix sums formed in
     coordinates centred on m's first atom, so that wide offsets cancel before
@@ -176,17 +195,14 @@ def potential_at(m: DiscreteMeasure, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PiecewiseLinearFn:
-    """Piecewise-linear function stored by (breakpoint, value) pairs.
-
-    Linear with slope left_slope on (-inf, b_1] and right_slope on
-    [b_m, inf). With convex=True the chain of slopes must be nondecreasing.
-    """
+    """Convex piecewise-linear function stored by (breakpoint, value) pairs,
+    with slope -1 on (-inf, b_1] and +1 on [b_m, inf): the shape of a
+    potential. The chain of slopes must be nondecreasing."""
 
     breakpoints: np.ndarray
     values: np.ndarray
-    left_slope: float = -1.0
-    right_slope: float = 1.0
-    convex: bool = field(default=False, compare=False)
+    left_slope = -1.0
+    right_slope = 1.0
 
     def __post_init__(self):
         bp = _as_1d(self.breakpoints)
@@ -195,23 +211,21 @@ class PiecewiseLinearFn:
             raise ValueError("breakpoints/values must be equal-length, nonempty")
         if bp.size > 1 and np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if self.convex:
-            slopes = self.slope_chain(bp, vals, self.left_slope, self.right_slope)
-            span = max(1.0, float(bp[-1] - bp[0]), float(np.abs(vals).max()))
-            if np.any(np.diff(slopes) < -1e-9 * span):
-                raise ValueError("slopes must be nondecreasing for a convex fn")
+        span = max(1.0, float(bp[-1] - bp[0]), float(np.abs(vals).max()))
+        if np.any(np.diff(self.slope_chain(bp, vals)) < -1e-9 * span):
+            raise ValueError("slopes must be nondecreasing for a convex fn")
         bp.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
     @staticmethod
-    def slope_chain(bp, vals, left, right) -> np.ndarray:
+    def slope_chain(bp, vals) -> np.ndarray:
         interior = np.diff(vals) / np.diff(bp) if bp.size > 1 else np.empty(0)
-        return np.concatenate(([left], interior, [right]))
+        return np.concatenate(([-1.0], interior, [1.0]))
 
     def slopes(self) -> np.ndarray:
-        return self.slope_chain(self.breakpoints, self.values, self.left_slope, self.right_slope)
+        return self.slope_chain(self.breakpoints, self.values)
 
     def __call__(self, y) -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -219,15 +233,15 @@ class PiecewiseLinearFn:
         out = np.interp(y, bp, vals)
         left = y < bp[0]
         right = y > bp[-1]
-        out[left] = vals[0] + self.left_slope * (y[left] - bp[0])
-        out[right] = vals[-1] + self.right_slope * (y[right] - bp[-1])
+        out[left] = vals[0] - (y[left] - bp[0])
+        out[right] = vals[-1] + (y[right] - bp[-1])
         return out
 
 
 def potential(m: DiscreteMeasure) -> PiecewiseLinearFn:
     """Potential function of m: convex, kinks at the atoms, slopes -1/+1 at infinity."""
     vals = potential_at(m, m.atoms)
-    fn = PiecewiseLinearFn(m.atoms, vals, -1.0, 1.0, convex=True)
+    fn = PiecewiseLinearFn(m.atoms, vals)
     offset = m.atoms - m.atoms[0]  # centred as in potential_at
     gap = np.abs(offset - np.dot(m.weights, offset)) - vals
     if gap.max() > 1e-12 * support_scale(m):
@@ -373,13 +387,9 @@ def wasserstein(a: DiscreteMeasure, b: DiscreteMeasure, rho: float = 1.0) -> flo
     """rho-Wasserstein distance, exact on the merged cumulative-weight grid."""
     if rho < 1.0:
         raise DomainError(f"wasserstein order must be >= 1, got {rho!r}")
-    levels = np.union1d(a.cumulative(), b.cumulative())
-    widths = np.diff(np.concatenate(([0.0], levels)))
-    # left-continuous quantiles are constant on each level block; evaluate at
-    # the block's upper level
-    qa = quantiles_at(a, levels)
-    qb = quantiles_at(b, levels)
-    gaps = np.abs(qa - qb)
+    i, j, widths = level_blocks(a, b)
+    # left-continuous quantiles are constant on each level block
+    gaps = np.abs(a.atoms[i] - b.atoms[j])
     if rho == 1.0:
         return float(np.dot(widths, gaps))
     return float(np.dot(widths, gaps**rho) ** (1.0 / rho))
@@ -421,7 +431,6 @@ def pushforward(m: DiscreteMeasure, values) -> DiscreteMeasure:
 
 def pl_max(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> PiecewiseLinearFn:
     """Pointwise maximum of two convex PL functions with slopes -1/+1 at infinity."""
-    _require_potential_shape(f, g)
     grid = np.union1d(f.breakpoints, g.breakpoints)
     fv, gv = f(grid), g(grid)
     # insert crossing points interior to segments where the sign of f-g flips
@@ -435,8 +444,8 @@ def pl_max(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> PiecewiseLinearFn:
         grid = np.union1d(grid, np.array(cross))
         fv, gv = f(grid), g(grid)
     vals = np.maximum(fv, gv)
-    bp, vals = _drop_collinear(grid, vals, -1.0, 1.0)
-    return PiecewiseLinearFn(bp, vals, -1.0, 1.0, convex=True)
+    bp, vals = _drop_collinear(grid, vals)
+    return PiecewiseLinearFn(bp, vals)
 
 
 def lower_convex_envelope(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> PiecewiseLinearFn:
@@ -446,7 +455,6 @@ def lower_convex_envelope(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> Piecewi
     breakpoint grid, with sentinel points far enough out that both functions
     are in their linear tails.
     """
-    _require_potential_shape(f, g)
     grid = np.union1d(f.breakpoints, g.breakpoints)
     pad = 1.0 + float(grid[-1] - grid[0])
     grid = np.concatenate(([grid[0] - pad], grid, [grid[-1] + pad]))
@@ -460,14 +468,8 @@ def lower_convex_envelope(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> Piecewi
         t = 0.5 * (hull_x[0] + hull_x[1])
         bp = np.array([t])
         vv = np.array([hull_y[0] - (t - hull_x[0])])
-    bp, vv = _drop_collinear(bp, vv, -1.0, 1.0)
-    return PiecewiseLinearFn(bp, vv, -1.0, 1.0, convex=True)
-
-
-def _require_potential_shape(*fns: PiecewiseLinearFn):
-    for fn in fns:
-        if not (fn.left_slope == -1.0 and fn.right_slope == 1.0):
-            raise ValueError("operation requires potential-shaped functions")
+    bp, vv = _drop_collinear(bp, vv)
+    return PiecewiseLinearFn(bp, vv)
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -489,11 +491,11 @@ def _lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array(idx)
 
 
-def _drop_collinear(bp: np.ndarray, vals: np.ndarray, left: float, right: float):
+def _drop_collinear(bp: np.ndarray, vals: np.ndarray):
     """Remove breakpoints whose left and right slopes agree (within 1e-13)."""
     if bp.size == 1:
         return bp, vals
-    slopes = PiecewiseLinearFn.slope_chain(bp, vals, left, right)
+    slopes = PiecewiseLinearFn.slope_chain(bp, vals)
     jump = np.diff(slopes)
     keep = jump > 1e-13
     if not np.any(keep):
@@ -507,7 +509,6 @@ def measure_from_potential(u: PiecewiseLinearFn) -> DiscreteMeasure:
     Slope jumps below 1e-11 are treated as collinearity noise and dropped;
     the constructor renormalizes the remainder.
     """
-    _require_potential_shape(u)
     jumps = np.diff(u.slopes())
     keep = jumps > 1e-11
     return DiscreteMeasure(u.breakpoints[keep], jumps[keep] / 2.0)

@@ -26,6 +26,7 @@ from .measures import (
     Interval,
     convex_order_leq,
     irreducible_components,
+    level_blocks,
     lower_convex_envelope,
     mean,
     measure_from_potential,
@@ -84,12 +85,9 @@ def reverse_optimizer(
     """
     cost = cost or CostSpec.quadratic()
     t = weak_monotone_rearrangement(mu, nu).map(mu.atoms)
-    c_mu, c_nu = mu.cumulative(), nu.cumulative()
-    levels = np.union1d(c_mu, c_nu)
-    width = np.diff(levels, prepend=0.0)
-    levels, width = levels[width > 1e-12], width[width > 1e-12]
-    i = np.minimum(np.searchsorted(c_mu, levels), mu.n - 1)
-    j = np.minimum(np.searchsorted(c_nu, levels), nu.n - 1)
+    i, j, width = level_blocks(mu, nu)
+    keep = width > 1e-12
+    i, j, width = i[keep], j[keep], width[keep]
     pos = nu.atoms[j] + (mu.atoms - t)[i]
     order = np.argsort(pos, kind="stable")
     pos, img = pos[order], nu.atoms[j][order]

@@ -19,6 +19,8 @@ from .measures import (
     DiscreteMeasure,
     _bin_barycenters,
     convex_order_leq,
+    level_blocks,
+    lowest_mass,
     mean,
     quantize,
     support_scale,
@@ -32,22 +34,6 @@ MAP_GAP_EPS = (1e-1, 1e-2, 1e-3)
 # ---------------------------------------------------------------------------
 # Transfer of a convex-order-dominated measure along a perturbation of nu
 # ---------------------------------------------------------------------------
-
-
-def quantile_coupling_entries(a: DiscreteMeasure, b: DiscreteMeasure):
-    """Sparse entries (i, j, mass) of the comonotone coupling of (a, b).
-
-    The quantile coupling is W_rho-optimal in one dimension for every
-    rho >= 1, which is why it serves as the optimal coupling in transfers.
-    """
-    ca = a.cumulative()
-    cb = b.cumulative()
-    levels = np.union1d(ca, cb)
-    widths = np.diff(np.concatenate(([0.0], levels)))
-    ia = np.minimum(np.searchsorted(ca, levels, side="left"), a.n - 1)
-    ib = np.minimum(np.searchsorted(cb, levels, side="left"), b.n - 1)
-    keep = widths > 1e-15
-    return ia[keep], ib[keep], widths[keep]
 
 
 def eta_transfer(
@@ -65,9 +51,12 @@ def eta_transfer(
     if not convex_order_leq(eta, nu):
         raise OrderError("eta_transfer requires eta <=_c nu")
     M = build_martingale_coupling(eta, nu)
-    ia, ib, w = quantile_coupling_entries(nu, nu_k)
+    # nu's conditional means under the quantile coupling of (nu, nu_k), which
+    # is W_rho-optimal for every rho >= 1
+    ia, ib, w = level_blocks(nu, nu_k)
+    keep = w > 1e-15
     cond_mean = np.zeros(nu.n)
-    np.add.at(cond_mean, ia, w * nu_k.atoms[ib])
+    np.add.at(cond_mean, ia[keep], w[keep] * nu_k.atoms[ib[keep]])
     cond_mean /= nu.weights
 
     R = np.zeros(eta.n)
@@ -109,8 +98,7 @@ class TailTrim:
 def _tail_moment(atoms, weights, amount, from_left: bool):
     """First moment of the outermost `amount` of mass."""
     a = atoms if from_left else atoms[::-1]
-    w = weights if from_left else weights[::-1]
-    taken = np.minimum(w, np.maximum(amount - np.concatenate(([0.0], np.cumsum(w)[:-1])), 0.0))
+    taken = lowest_mass(weights if from_left else weights[::-1], amount)
     return float(np.dot(taken, a)), taken if from_left else taken[::-1]
 
 
@@ -274,18 +262,15 @@ class StabilityReport:
         }
 
 
-def _map_gap(mu_a, t_a, mu_b, t_b, eps):
-    """Lebesgue measure on (0,1) of levels where the two quantile-composed
-    maps differ by more than eps. When the first marginals agree this is the
-    mu-probability of {|T_a - T_b| > eps}; otherwise it is the common-quantile
-    identification of the two maps (a reporting choice, flagged in docs)."""
-    ca, cb = mu_a.cumulative(), mu_b.cumulative()
-    levels = np.union1d(ca, cb)
-    widths = np.diff(np.concatenate(([0.0], levels)))
-    ia = np.minimum(np.searchsorted(ca, levels, side="left"), mu_a.n - 1)
-    ib = np.minimum(np.searchsorted(cb, levels, side="left"), mu_b.n - 1)
+def _map_gaps(mu_a, t_a, mu_b, t_b) -> dict:
+    """For each eps in MAP_GAP_EPS, the Lebesgue measure on (0,1) of levels
+    where the two quantile-composed maps differ by more than eps. When the
+    first marginals agree this is the mu-probability of {|T_a - T_b| > eps};
+    otherwise it is the common-quantile identification of the two maps (a
+    reporting choice, flagged in docs)."""
+    ia, ib, widths = level_blocks(mu_a, mu_b)
     diff = np.abs(t_a[ia] - t_b[ib])
-    return float(widths[diff > eps].sum())
+    return {eps: float(widths[diff > eps].sum()) for eps in MAP_GAP_EPS}
 
 
 def run_stability_experiment(ladder: PerturbationLadder, cost: CostSpec | None = None) -> StabilityReport:
@@ -308,16 +293,13 @@ def run_stability_experiment(ladder: PerturbationLadder, cost: CostSpec | None =
         mu_k, nu_k = ladder.rung(k)
         sol = solve_weak_transport(mu_k, nu_k, cost)
         t_k = sol.map(mu_k.atoms)
-        gaps = {
-            eps: _map_gap(ladder.mu, t_base, mu_k, t_k, eps) for eps in MAP_GAP_EPS
-        }
         rungs.append(
             StabilityRung(
                 k=k,
                 value=sol.value,
                 value_gap=abs(sol.value - base.value),
                 optimizer_gap_w1=wasserstein(base.pushforward, sol.pushforward, 1.0),
-                map_gaps=gaps,
+                map_gaps=_map_gaps(ladder.mu, t_base, mu_k, t_k),
             )
         )
     return StabilityReport(

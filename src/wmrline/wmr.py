@@ -21,7 +21,7 @@ from the map alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,11 +135,6 @@ class MonotoneMap:
         t.setflags(write=False)
         object.__setattr__(self, "knots_x", x)
         object.__setattr__(self, "knots_t", t)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "MonotoneMap":
-        arr = np.asarray(list(pairs), dtype=float)
-        return cls(arr[:, 0], arr[:, 1])
 
     @classmethod
     def identity(cls, points) -> "MonotoneMap":

@@ -102,6 +102,13 @@ def offset_pair(rng):
     return mu.shift(offset), nu.shift(offset)
 
 
+def mix_and_offset_pairs(rng, count):
+    """count pairs, alternately a mix_pair with n, m in 1..30 and an
+    offset_pair (shifted by up to 1e6)."""
+    for k in range(count):
+        yield offset_pair(rng) if k % 2 else mix_pair(rng, *(int(v) for v in rng.integers(1, 31, 2)))
+
+
 def potential_gap_violations(intervals, a, b, floor=0.0):
     """Check intervals as the irreducible intervals of a <=_c b against the
     potentials: each endpoint is an atom of b, u_b - u_a > floor * scale on

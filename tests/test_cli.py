@@ -61,6 +61,22 @@ class TestExitCodes:
         assert '"result": false' in capsys.readouterr().out
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv_tail",
+        [
+            ["wmr", "{mu2}", "{nu2}", "--seed", "1"],
+            ["check-order", "{mu2}", "{nu2}", "--cost", "quartic"],
+            ["plot", "{mu2}", "{nu2}", "--format", "svg"],
+            ["compose", "{mu2}", "{nu2}", "--verify-theta"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, measure_files, argv_tail):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**measure_files) for a in argv_tail])
+        assert exc.value.code == 2
+
+
 class TestDocuments:
     def test_wmr_document(self, measure_files, tmp_path):
         out = tmp_path / "sol.json"

@@ -20,12 +20,13 @@ from wmrline import (
     weak_monotone_rearrangement,
     write_measure_csv,
 )
-from wmrline.measures import ORDER_TOL, _order_slack, parse_measure_csv
+from wmrline.measures import ORDER_TOL, _order_slack, level_blocks, lowest_mass, parse_measure_csv
 
 from conftest import (
     clustered_pair,
     dirac,
     dm,
+    mix_and_offset_pairs,
     mix_pair,
     offset_pair,
     potential_gap_violations,
@@ -347,6 +348,44 @@ class TestWasserstein:
                 assert wasserstein(a, c, rho) <= (
                     wasserstein(a, b, rho) + wasserstein(b, c, rho) + 1e-9
                 )
+
+
+class TestLevelBlocks:
+    def test_blocks_add_up_to_each_measure(self, rng):
+        for a, b in mix_and_offset_pairs(rng, 240):
+            i, j, width = level_blocks(a, b)
+            assert np.all(width > 0.0)
+            assert np.all(np.diff(i) >= 0) and np.all(np.diff(j) >= 0)
+            assert np.abs(np.bincount(i, width, a.n) - a.weights).max() <= 1e-15
+            assert np.abs(np.bincount(j, width, b.n) - b.weights).max() <= 1e-15
+
+    def test_blocks_carry_both_quantiles(self, rng):
+        for a, b in mix_and_offset_pairs(rng, 240):
+            i, j, width = level_blocks(a, b)
+            mid = np.cumsum(width) - 0.5 * width
+            assert np.array_equal(a.atoms[i], np.array([quantile(a, u) for u in mid]))
+            assert np.array_equal(b.atoms[j], np.array([quantile(b, u) for u in mid]))
+
+
+class TestLowestMass:
+    def test_takes_the_first_amount_of_mass(self, rng):
+        for a, b in mix_and_offset_pairs(rng, 240):
+            for m in (a, b):
+                w = m.weights
+                level = float(np.cumsum(w)[rng.integers(m.n)])
+                for amount in (0.0, float(rng.uniform(0.0, 1.0)), level, 1.0, 1.5):
+                    taken = lowest_mass(w, amount)
+                    assert np.all((taken >= 0.0) & (taken <= w))
+                    assert abs(taken.sum() - min(amount, 1.0)) <= 1e-15
+                    partial = np.flatnonzero(taken < w)
+                    if partial.size:  # nothing is taken after the first partial entry
+                        assert not np.any(taken[partial[0] + 1 :])
+
+    def test_small_example(self):
+        w = np.array([0.25, 0.5, 0.25])
+        assert lowest_mass(w, 0.5).tolist() == [0.25, 0.25, 0.0]
+        assert lowest_mass(w, 0.0).tolist() == [0.0, 0.0, 0.0]
+        assert lowest_mass(w, 2.0).tolist() == w.tolist()
 
 
 class TestQuantize:

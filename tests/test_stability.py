@@ -18,7 +18,10 @@ from wmrline import (
     wasserstein,
 )
 
-from conftest import dirac, dm, random_measure, random_ordered_pair
+from wmrline.measures import level_blocks
+from wmrline.stability import MAP_GAP_EPS, _map_gaps
+
+from conftest import dirac, dm, mix_and_offset_pairs, random_measure, random_ordered_pair
 
 
 class TestEtaTransfer:
@@ -203,3 +206,45 @@ class TestRunStabilityExperiment:
         lines = rep.to_csv().strip().splitlines()
         assert lines[0] == "k,value_gap,optimizer_gap_W1,map_gap@0.1,map_gap@0.01,map_gap@0.001"
         assert len(lines) == 4 and all(len(l.split(",")) == 6 for l in lines[1:])
+
+
+def quantile_coupling_entries(a, b):
+    """The comonotone coupling eta_transfer built before level_blocks, kept
+    as its reference: entries (i, j, mass) with mass > 1e-15."""
+    ca = a.cumulative()
+    cb = b.cumulative()
+    levels = np.union1d(ca, cb)
+    widths = np.diff(np.concatenate(([0.0], levels)))
+    ia = np.minimum(np.searchsorted(ca, levels, side="left"), a.n - 1)
+    ib = np.minimum(np.searchsorted(cb, levels, side="left"), b.n - 1)
+    keep = widths > 1e-15
+    return ia[keep], ib[keep], widths[keep]
+
+
+def map_gap(mu_a, t_a, mu_b, t_b, eps):
+    """The per-eps map gap run_stability_experiment used before _map_gaps,
+    kept as its reference."""
+    ca, cb = mu_a.cumulative(), mu_b.cumulative()
+    levels = np.union1d(ca, cb)
+    widths = np.diff(np.concatenate(([0.0], levels)))
+    ia = np.minimum(np.searchsorted(ca, levels, side="left"), mu_a.n - 1)
+    ib = np.minimum(np.searchsorted(cb, levels, side="left"), mu_b.n - 1)
+    diff = np.abs(t_a[ia] - t_b[ib])
+    return float(widths[diff > eps].sum())
+
+
+class TestLevelBlocksAgainstReferences:
+    def test_transfer_entries_are_bit_identical(self, rng):
+        for a, b in mix_and_offset_pairs(rng, 300):
+            i, j, w = level_blocks(a, b)
+            keep = w > 1e-15
+            for got, want in zip((i[keep], j[keep], w[keep]), quantile_coupling_entries(a, b)):
+                assert np.array_equal(got, want)
+
+    def test_map_gaps_are_bit_identical(self, rng):
+        for a, b in mix_and_offset_pairs(rng, 300):
+            # half the maps sit at 0, so some gaps equal an eps exactly
+            t_a = np.sort(rng.uniform(-3.0, 3.0, a.n)) * rng.integers(0, 2)
+            t_b = t_a[np.minimum(np.arange(b.n), a.n - 1)] + rng.choice([0.0, *MAP_GAP_EPS, 0.5], b.n)
+            got = _map_gaps(a, t_a, b, t_b)
+            assert got == {eps: map_gap(a, t_a, b, t_b, eps) for eps in MAP_GAP_EPS}
