@@ -32,7 +32,7 @@ from .measures import (
     nearest_atom,
     support_scale,
 )
-from .wmr import CostSpec, MonotoneMap, weak_monotone_rearrangement
+from .wmr import CostSpec, MonotoneMap, _hull_map
 
 MARGINAL_TOL = 1e-10
 BARYCENTER_TOL = 1e-9
@@ -363,14 +363,17 @@ def optimality_certificate(
     tol: float = 1e-7,
 ) -> CertificateReport:
     """A coupling is optimal iff its barycenter map is the weak monotone
-    rearrangement and the induced second stage is a martingale coupling."""
+    rearrangement and the induced second stage is a martingale coupling.
+
+    The rearrangement's values on mu's atoms are read from the hull kernel
+    (wmr._hull_map), with no full solve: no pushforward, KKT residual or
+    irreducible intervals are built."""
     cost = cost or CostSpec.quadratic()
     if not (measures_close(pi.source, mu) and measures_close(pi.target, nu)):
         raise CouplingError("coupling marginals do not match (mu, nu)")
     s = support_scale(mu, nu)
-    knots = barycenter_map(pi)
-    sol = weak_monotone_rearrangement(mu, nu)
-    gap = float(np.abs(knots[:, 1] - sol.map(mu.atoms)).max())
+    bary = pi.row_barycenters()
+    gap = float(np.abs(bary - _hull_map(mu, nu)[0]).max())
     map_ok = gap <= tol * s
 
     viol = []
@@ -378,7 +381,6 @@ def optimality_certificate(
         viol.append(f"barycenter map deviates from the rearrangement by {gap:.3e}")
     second_ok = True
     try:
-        bary = pi.row_barycenters()
         push = DiscreteMeasure(bary, mu.weights)
         pos = nearest_atom(push.atoms, bary[pi.rows])
         MartingaleCoupling(push, nu, *_regroup(pos, pi.cols, pi.mass))

@@ -58,11 +58,14 @@ class DiscreteMeasure:
         if not np.any(keep):
             raise ValueError("all weights vanish")
         atoms, weights = atoms[keep], weights[keep]
-        order = np.argsort(atoms, kind="stable")
-        atoms, weights = atoms[order], weights[order]
+        gaps = np.diff(atoms)
+        if np.any(gaps < 0.0):  # a stable argsort of sorted atoms is the identity
+            order = np.argsort(atoms, kind="stable")
+            atoms, weights = atoms[order], weights[order]
+            gaps = np.diff(atoms)
         span = float(atoms[-1] - atoms[0])
         tol = MERGE_TOL * max(1.0, span)
-        if atoms.size > 1 and np.any(np.diff(atoms) <= tol):
+        if np.any(gaps <= tol):
             atoms, weights = _merge_close(atoms, weights, tol)
         total = float(weights.sum())
         if abs(total - 1.0) > 1e-9:

@@ -37,7 +37,7 @@ from .measures import (
     quantiles_at,
     support_scale,
 )
-from .wmr import CostSpec, MonotoneMap, slope1_violations, weak_monotone_rearrangement
+from .wmr import CostSpec, MonotoneMap, _hull_map, slope1_violations
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,11 @@ def reverse_optimizer(
     c_I, and on the fixed set y_j = t_i, so the point is x_i itself. Blocks
     of width <= 1e-12 (a shared level split by rounding) are dropped, and a
     point within MERGE_TOL times the span of its predecessor joins it. All
-    postconditions are verified; any failure raises ConsistencyError.
+    postconditions are verified; any failure raises ConsistencyError. T is
+    read from the hull kernel (wmr._hull_map), with no full solve.
     """
     cost = cost or CostSpec.quadratic()
-    t = weak_monotone_rearrangement(mu, nu).map(mu.atoms)
+    t = _hull_map(mu, nu)[0]
     i, j, width = level_blocks(mu, nu)
     keep = width > 1e-12
     i, j, width = i[keep], j[keep], width[keep]

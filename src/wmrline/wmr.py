@@ -123,13 +123,16 @@ class MonotoneMap:
     knots_t: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.knots_x, dtype=float).reshape(-1)
-        t = np.asarray(self.knots_t, dtype=float).reshape(-1)
+        x = np.array(self.knots_x, dtype=float).reshape(-1)
+        t = np.array(self.knots_t, dtype=float).reshape(-1)
         if x.size == 0 or x.shape != t.shape:
             raise ValueError("knots need equal, positive length")
-        order = np.argsort(x, kind="stable")
-        x, t = x[order], t[order]
-        if np.any(np.diff(x) <= 0):
+        dx = np.diff(x)
+        if np.any(dx < 0.0):  # a stable argsort of sorted knots is the identity
+            order = np.argsort(x, kind="stable")
+            x, t = x[order], t[order]
+            dx = np.diff(x)
+        if np.any(dx <= 0):
             raise ValueError("knot positions must be strictly increasing")
         x.setflags(write=False)
         t.setflags(write=False)
@@ -242,7 +245,11 @@ def kkt_residual(mu: DiscreteMeasure, nu: DiscreteMeasure, t, cost: CostSpec) ->
     KKT point of the relaxed problem that is monotone solves the full one).
     """
     t = np.asarray(t, dtype=float)
-    slack = _order_slack(mu, nu, t)
+    return _kkt_parts(mu, t, _order_slack(mu, nu, t), cost)
+
+
+def _kkt_parts(mu: DiscreteMeasure, t: np.ndarray, slack: np.ndarray, cost: CostSpec) -> float:
+    """kkt_residual of t from its order slack at mu's levels (_order_slack)."""
     inner = slack[1:-1]
     lam = np.diff(cost.deriv(mu.atoms - t))
     parts = (
@@ -255,6 +262,28 @@ def kkt_residual(mu: DiscreteMeasure, nu: DiscreteMeasure, t, cost: CostSpec) ->
     return max(0.0, *parts)
 
 
+def _hull_map(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The weak monotone rearrangement's values t on mu's atoms, read off the
+    least concave majorant of h = -(the order slack of t = x), each quantity
+    formed once. Returns (t, slack, c, G, moved): mu's levels c (0 included),
+    G = _quantile_integral(nu, c, origin) centred on nu's first atom, the
+    order slack of t at c (the majorant minus h, exactly 0 at the hull
+    vertices), and moved = False when mu <=_c nu to 1e-12 * scale (t = x).
+    """
+    x, p = mu.atoms, mu.weights
+    origin = float(nu.atoms[0])
+    c = np.concatenate(([0.0], mu.cumulative()))
+    G = _quantile_integral(nu, c, origin)
+    h = -(np.concatenate(([0.0], np.cumsum(p * (x - origin)))) - G)
+    tol = 1e-12 * support_scale(mu, nu)
+    if h.max() <= tol and abs(h[-1]) <= tol:
+        return x, -h, c, G, False
+    # block i moves by the slope of the majorant over (c_{i-1}, c_i]
+    v = _lower_hull(c, -h)
+    t = x + np.repeat(np.diff(h[v]) / np.diff(c[v]), np.diff(v))
+    return t, np.interp(c, c[v], h[v]) - h, c, G, True
+
+
 def solve_weak_transport(
     mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec | None = None
 ) -> WeakSolution:
@@ -262,11 +291,11 @@ def solve_weak_transport(
 
     With c_k mu's cumulative levels and h_k = G_nu(c_k) - sum_{j<=k} p_j x_j,
     block i moves by the slope of the least concave majorant of (c_k, h_k)
-    over it: t_i = x_i + slope. The map is the same for every strictly convex
-    cost; only the value depends on theta. When h <= 0 with h_n = 0 (to
-    1e-12 * scale), mu <=_c nu and t = x exactly, with residual 0. The
-    irreducible intervals of (t(mu), nu) are read off the slack of t at mu's
-    levels, so no potential is evaluated.
+    over it: t_i = x_i + slope (_hull_map). The map is the same for every
+    strictly convex cost; only the value depends on theta. When h <= 0 with
+    h_n = 0 (to 1e-12 * scale), mu <=_c nu and t = x exactly, with residual
+    0. The irreducible intervals of (t(mu), nu) are read off the slack of t
+    at mu's levels, so no potential is evaluated.
 
     The reported residual is kkt_residual() of t under the cost, computed
     from t and the measures alone. The non-strict |x| cost has no unique
@@ -274,22 +303,12 @@ def solve_weak_transport(
     """
     cost = cost or CostSpec.quadratic()
     x, p = mu.atoms, mu.weights
-    scale = support_scale(mu, nu)
-    c = np.concatenate(([0.0], mu.cumulative()))
-    h = -_order_slack(mu, nu, x)
-
-    if h.max() <= 1e-12 * scale and abs(h[-1]) <= 1e-12 * scale:
-        # mu <=_c nu: the unconstrained optimum t = x is feasible, value theta(0)
-        t = x.copy()
-        slack = -h
-        residual = 0.0
-    else:
-        # block i moves by the slope of the majorant over (c_{i-1}, c_i]; the
-        # slack of t is the majorant minus h, exactly 0 at the hull vertices
-        v = _lower_hull(c, -h)
-        t = x + np.repeat(np.diff(h[v]) / np.diff(c[v]), np.diff(v))
-        slack = np.interp(c, c[v], h[v]) - h
-        residual = kkt_residual(mu, nu, t, cost if cost.strictly_convex else CostSpec.quadratic())
+    t, slack, c, G, moved = _hull_map(mu, nu)
+    residual = 0.0
+    if moved:  # the slack of t against the hull's G, as _order_slack forms it
+        partial = np.concatenate(([0.0], np.cumsum(p * (t - float(nu.atoms[0])))))
+        certified = cost if cost.strictly_convex else CostSpec.quadratic()
+        residual = _kkt_parts(mu, t, partial - G, certified)
 
     value = float(np.dot(p, cost.value(x - t)))
     push = pushforward(mu, t)

@@ -109,6 +109,18 @@ def mix_and_offset_pairs(rng, count):
         yield offset_pair(rng) if k % 2 else mix_pair(rng, *(int(v) for v in rng.integers(1, 31, 2)))
 
 
+def four_family_pairs(rng, count):
+    """count pairs, cycling through a mix_pair (n, m in 1..59), a spread_pair
+    (n in 2..299), a clustered_pair and an offset_pair (shifted by up to 1e6)."""
+    for k in range(count):
+        if k % 4 == 0:
+            yield mix_pair(rng, *(int(v) for v in rng.integers(1, 60, 2)))
+        elif k % 4 == 1:
+            yield spread_pair(rng, int(rng.integers(2, 300)))
+        else:
+            yield clustered_pair(rng) if k % 4 == 2 else offset_pair(rng)
+
+
 def potential_gap_violations(intervals, a, b, floor=0.0):
     """Check intervals as the irreducible intervals of a <=_c b against the
     potentials: each endpoint is an atom of b, u_b - u_a > floor * scale on

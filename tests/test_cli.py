@@ -1,10 +1,19 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import wmrline.cli
 import wmrline.measures
-from wmrline import map_decomposition, read_measure_csv, solve_weak_transport, write_measure_csv
+from wmrline import (
+    MonotoneMap,
+    map_decomposition,
+    pushforward,
+    read_measure_csv,
+    solve_weak_transport,
+    write_measure_csv,
+)
 from wmrline.cli import main, plot_segments
 
 from conftest import clustered_pair, dm, mix_pair, spread_pair
@@ -69,6 +78,8 @@ class TestFlags:
             ["check-order", "{mu2}", "{nu2}", "--cost", "quartic"],
             ["plot", "{mu2}", "{nu2}", "--format", "svg"],
             ["compose", "{mu2}", "{nu2}", "--verify-theta"],
+            ["value", "{mu2}", "{nu2}", "--verify"],
+            ["value", "{mu2}", "{nu2}", "--tol", "1e-6"],
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, measure_files, argv_tail):
@@ -90,6 +101,20 @@ class TestDocuments:
         assert doc["verification"]["admissible"] is True
         assert doc["verification"]["slope1_characterization"] is True
         assert doc["verification"]["optimality_certificate"] is True
+
+    def test_each_violation_is_listed_once(self, measure_files, tmp_path, monkeypatch):
+        def reversed_map(mu, nu, cost):
+            sol = solve_weak_transport(mu, nu, cost)
+            t = sol.map(mu.atoms)[::-1]  # decreasing, and still pushes mu onto nu
+            return dataclasses.replace(sol, map=MonotoneMap(mu.atoms, t), pushforward=pushforward(mu, t))
+
+        monkeypatch.setattr(wmrline.cli, "solve_weak_transport", reversed_map)
+        out = tmp_path / "sol.json"
+        assert main(["wmr", measure_files["mu2"], measure_files["nu2"], "--verify", "--out", str(out)]) == 0
+        ver = json.loads(out.read_text())["verification"]
+        assert ver["admissible"] is False and ver["optimality_certificate"] is False
+        assert ver["violations"][0].startswith("decreasing between atoms")
+        assert len(ver["violations"]) == len(set(ver["violations"])) == 2
 
     def test_value_theta_independence_flag(self, measure_files, capsys):
         code = main(

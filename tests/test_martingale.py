@@ -40,6 +40,7 @@ from conftest import (
     clustered_pair,
     dirac,
     dm,
+    four_family_pairs,
     mix_and_offset_pairs,
     mix_pair,
     nth_mix_pair,
@@ -571,6 +572,25 @@ class TestOptimalityCertificate:
         pi = Coupling(dm([-2, 2]), dm([-1, 1]), np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5]))
         rep = optimality_certificate(pi, dm([-2, 2]), dm([-1, 1]))
         assert not rep.ok and not rep.map_matches_rearrangement
+
+    def test_gap_is_the_gap_to_the_full_solve(self):
+        # the certificate reads the map from the hull kernel; its gap must be
+        # the one against the full solve's map, on passing and failing couplings
+        rng = np.random.default_rng(9102)
+        failed = 0
+        for mu, nu in four_family_pairs(rng, 320):
+            sol = weak_monotone_rearrangement(mu, nu)
+            want = sol.map(mu.atoms)
+            couplings = [product_coupling(mu, nu)]
+            try:
+                couplings.append(compose_with_map(mu, sol.map, build_martingale_coupling(sol.pushforward, nu)))
+            except CouplingError:
+                pass  # the barycenter gate misses on a few 1e6 offsets (see CHANGES.md)
+            for pi in couplings:
+                rep = optimality_certificate(pi, mu, nu)
+                assert rep.max_map_gap == float(np.abs(pi.row_barycenters() - want).max())
+                failed += not rep.map_matches_rearrangement
+        assert failed >= 250
 
     def test_marginal_mismatch_raises(self):
         pi = identity_coupling(dm([-1, 1]))

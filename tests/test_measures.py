@@ -20,7 +20,15 @@ from wmrline import (
     weak_monotone_rearrangement,
     write_measure_csv,
 )
-from wmrline.measures import ORDER_TOL, _order_slack, level_blocks, lowest_mass, parse_measure_csv
+from wmrline.measures import (
+    MERGE_TOL,
+    ORDER_TOL,
+    _merge_close,
+    _order_slack,
+    level_blocks,
+    lowest_mass,
+    parse_measure_csv,
+)
 
 from conftest import (
     clustered_pair,
@@ -64,6 +72,33 @@ class TestDiscreteMeasure:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             dm([0.0, 1.0], [1.1, -0.1])
+
+    def test_matches_the_always_sorting_constructor(self):
+        def always_sorted(atoms, weights):
+            keep = weights > 0.0
+            order = np.argsort(atoms[keep], kind="stable")
+            atoms, weights = atoms[keep][order], weights[keep][order]
+            tol = MERGE_TOL * max(1.0, float(atoms[-1] - atoms[0]))
+            if atoms.size > 1 and np.any(np.diff(atoms) <= tol):
+                atoms, weights = _merge_close(atoms, weights, tol)
+            return atoms, weights / float(weights.sum())
+
+        rng = np.random.default_rng(9103)
+        for k in range(300):
+            n = int(rng.integers(1, 40))
+            atoms = np.sort(rng.uniform(-3.0, 3.0, n)) + (1e6 if k % 3 == 0 else 0.0)
+            if k % 2:  # ties, exact and within the merge tolerance
+                atoms = np.sort(np.concatenate((atoms, atoms[: n // 2], atoms[: n // 3] + 1e-13)))
+            weights = rng.dirichlet(np.ones(atoms.size))
+            weights[rng.random(atoms.size) < 0.1] = 0.0
+            if not weights.any():
+                continue
+            weights /= weights.sum()
+            for perm in (np.arange(atoms.size), rng.permutation(atoms.size)):
+                m = DiscreteMeasure(atoms[perm], weights[perm])
+                want_atoms, want_weights = always_sorted(atoms[perm], weights[perm])
+                assert m.atoms.tobytes() == want_atoms.tobytes()
+                assert m.weights.tobytes() == want_weights.tobytes()
 
     def test_immutable(self):
         m = dm([0.0, 1.0])

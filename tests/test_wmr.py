@@ -31,7 +31,7 @@ from wmrline import (
 from wmrline import qp
 from wmrline.wmr import kkt_residual, slope1_violations, transport_polyhedron
 
-from conftest import dirac, dm, mix_pair, nth_mix_pair, random_measure
+from conftest import dirac, dm, four_family_pairs, mix_pair, nth_mix_pair, random_measure
 
 COSTS = (CostSpec.quadratic(), CostSpec.quartic(), CostSpec.power(3.0))
 
@@ -441,6 +441,54 @@ class TestCertificate:
         mu, nu = dm([-2, 2]), dm([-1, 1])
         assert kkt_residual(mu, nu, np.array([-1.0, 1.0]), CostSpec.quadratic()) == 0.0
         assert kkt_residual(mu, nu, np.array([-0.9, 1.1]), CostSpec.quadratic()) >= 0.1 - 1e-12
+
+
+class TestMonotoneMapConstruction:
+    def test_matches_the_always_sorting_constructor(self):
+        rng = np.random.default_rng(9104)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            x = np.sort(rng.uniform(-3.0, 3.0, n))
+            t = rng.uniform(-3.0, 3.0, n)
+            for perm in (np.arange(n), rng.permutation(n)):
+                order = np.argsort(x[perm], kind="stable")
+                got = MonotoneMap(x[perm], t[perm])
+                assert got.knots_x.tobytes() == x[perm][order].tobytes()
+                assert got.knots_t.tobytes() == t[perm][order].tobytes()
+            if n > 1:  # tied knots are rejected, sorted or not
+                tied = np.concatenate((x, x[:1]))
+                for knots in (np.sort(tied), tied):
+                    with pytest.raises(ValueError):
+                        MonotoneMap(knots, np.append(t, 0.0))
+
+    def test_knots_do_not_alias_the_input(self):
+        x, t = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        m = MonotoneMap(x, t)
+        x[0], t[0] = -1.0, 9.0
+        assert m.knots_x[0] == 0.0 and m.knots_t[0] == 0.5
+        assert x.flags.writeable and t.flags.writeable
+
+
+class TestFusedSolve:
+    def test_residual_is_the_certificate_of_the_map(self):
+        # the solve certifies its map against the hull's own quantile
+        # integral; the public certificate rebuilds it from the measures
+        rng = np.random.default_rng(9101)
+        moved = 0
+        for mu, nu in four_family_pairs(rng, 320):
+            s = support_scale(mu, nu)
+            for cost in (*COSTS, CostSpec.power(1.0)):
+                sol = solve_weak_transport(mu, nu, cost)
+                t = sol.map.knots_t
+                certified = cost if cost.strictly_convex else CostSpec.quadratic()
+                got = kkt_residual(mu, nu, t, certified)
+                if np.array_equal(t, mu.atoms):
+                    # mu <=_c nu to 1e-12 * scale: t = x is reported exact
+                    assert sol.kkt_residual == 0.0 and got <= 1e-12 * s
+                else:
+                    moved += 1
+                    assert sol.kkt_residual == got
+        assert moved >= 600
 
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
