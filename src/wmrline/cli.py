@@ -17,16 +17,12 @@ import numpy as np
 from . import martingale, reverse, stability
 from .errors import WmrError
 from .measures import (
-    ORDER_TOL,
-    convex_order_leq,
+    _order_witness,
     interval_index,
     irreducible_components,
     mean,
     potential,
-    potential_at,
     read_measure_csv,
-    support_scale,
-    wasserstein,
 )
 from .wmr import CostSpec, solve_weak_transport, verify_slope1_characterization
 
@@ -66,86 +62,73 @@ def render_json(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _measure_doc(m) -> dict:
+    return {"atoms": [float(a) for a in m.atoms], "weights": [float(w) for w in m.weights]}
+
+
+def _knots_doc(map_) -> list:
+    return [[float(a), float(b)] for a, b in zip(map_.knots_x, map_.knots_t)]
+
+
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row: numbers in fmt, text as is."""
+    lines = [",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed flags and the measures read from the
+# positional files, and returns a schema-1 document, CSV text, or None when
+# it wrote its own output
 # ---------------------------------------------------------------------------
 
 
-def cmd_potential(args) -> int:
-    m = read_measure_csv(args.mu)
+def cmd_potential(args, m):
     u = potential(m)
     if args.fmt == "csv":
-        lines = ["y,u"]
-        for y, v in zip(u.breakpoints, u.values):
-            lines.append(f"{fmt(y)},{fmt(v)}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        doc = {
-            "schema": 1,
-            "kind": "potential",
-            "breakpoints": list(map(float, u.breakpoints)),
-            "values": list(map(float, u.values)),
-            "left_slope": u.left_slope,
-            "right_slope": u.right_slope,
-            "mean": mean(m),
-        }
-        _emit(args, render_json(doc) + "\n")
-    return EXIT_OK
+        return _csv("y,u", zip(u.breakpoints, u.values))
+    return {
+        "schema": 1,
+        "kind": "potential",
+        "breakpoints": list(map(float, u.breakpoints)),
+        "values": list(map(float, u.values)),
+        "left_slope": u.left_slope,
+        "right_slope": u.right_slope,
+        "mean": mean(m),
+    }
 
 
-def cmd_check_order(args) -> int:
-    a = read_measure_csv(args.mu)
-    b = read_measure_csv(args.nu)
-    verdict = convex_order_leq(a, b)
-    witness = None
-    if not verdict:
-        s = support_scale(a, b)
-        if abs(mean(a) - mean(b)) > ORDER_TOL * s:
-            witness = {"kind": "mean_mismatch", "mean_a": mean(a), "mean_b": mean(b)}
-        else:
-            gap = potential_at(a, b.atoms) - potential_at(b, b.atoms)
-            j = int(np.argmax(gap))
-            witness = {
-                "kind": "potential_violation",
-                "atom": float(b.atoms[j]),
-                "excess": float(gap[j]),
-            }
-    doc = {"schema": 1, "kind": "order_check", "result": verdict, "witness": witness}
-    _emit(args, render_json(doc) + "\n")
-    return EXIT_OK
+def cmd_check_order(args, a, b):
+    witness = _order_witness(a, b)
+    if witness is not None:
+        witness.pop("index", None)
+    return {"schema": 1, "kind": "order_check", "result": witness is None, "witness": witness}
 
 
-def cmd_irreducible(args) -> int:
-    a = read_measure_csv(args.mu)
-    b = read_measure_csv(args.nu)
+def cmd_irreducible(args, a, b):
     comps = irreducible_components(a, b)
     if args.fmt == "csv":
-        lines = ["lo,hi"] + [f"{fmt(iv.lo)},{fmt(iv.hi)}" for iv in comps]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        doc = {
-            "schema": 1,
-            "kind": "irreducible_intervals",
-            "intervals": [[iv.lo, iv.hi] for iv in comps],
-        }
-        _emit(args, render_json(doc) + "\n")
-    return EXIT_OK
+        return _csv("lo,hi", ((iv.lo, iv.hi) for iv in comps))
+    return {
+        "schema": 1,
+        "kind": "irreducible_intervals",
+        "intervals": [[iv.lo, iv.hi] for iv in comps],
+    }
 
 
-def _solve_with_verification(args, mu, nu):
+def cmd_wmr(args, mu, nu):
     sol = solve_weak_transport(mu, nu, args.cost)
-    doc = sol.to_document()
-    if "verify" in args and args.verify:
+    doc = {
+        "schema": 1,
+        "kind": "weak_solution",
+        "cost": sol.cost.describe(),
+        "map_knots": _knots_doc(sol.map),
+        "pushforward": _measure_doc(sol.pushforward),
+        "value": float(sol.value),
+        "irreducible_intervals": [[iv.lo, iv.hi] for iv in sol.irreducibles],
+        "kkt_residual": float(sol.kkt_residual),
+    }
+    if args.verify:
         # the slope-1 report includes the admissibility check and its violations
         slope = verify_slope1_characterization(sol, mu, nu, args.tol)
         mg = martingale.build_martingale_coupling(sol.pushforward, nu)
@@ -157,83 +140,59 @@ def _solve_with_verification(args, mu, nu):
             "optimality_certificate": cert.ok,
             "violations": list(slope.violations) + list(cert.violations),
         }
-    if args.verify_theta:
-        others = [CostSpec.quartic(), CostSpec.power(3.0)]
-        s = support_scale(mu, nu)
-        gaps = {}
-        for other in others:
-            alt = solve_weak_transport(mu, nu, other)
-            gaps[other.kind] = wasserstein(sol.pushforward, alt.pushforward, 1.0)
-        doc["theta_independence_w1"] = gaps
-        if max(gaps.values()) > 1e-6 * s:
-            _emit(args, render_json(doc) + "\n")
-            raise WmrError("pushforwards disagree across costs")
-    return sol, doc
+    return doc
 
 
-def cmd_wmr(args) -> int:
-    mu = read_measure_csv(args.mu)
-    nu = read_measure_csv(args.nu)
-    _, doc = _solve_with_verification(args, mu, nu)
-    _emit(args, render_json(doc) + "\n")
-    return EXIT_OK
-
-
-def cmd_value(args) -> int:
-    mu = read_measure_csv(args.mu)
-    nu = read_measure_csv(args.nu)
-    sol, _ = _solve_with_verification(args, mu, nu)
-    doc = {
+def cmd_value(args, mu, nu):
+    sol = solve_weak_transport(mu, nu, args.cost)
+    return {
         "schema": 1,
         "kind": "value",
         "cost": args.cost.describe(),
         "value": sol.value,
         "kkt_residual": sol.kkt_residual,
     }
-    _emit(args, render_json(doc) + "\n")
-    return EXIT_OK
 
 
-def cmd_reverse(args) -> int:
-    mu = read_measure_csv(args.mu)
-    nu = read_measure_csv(args.nu)
+def cmd_reverse(args, mu, nu):
     rsol = reverse.reverse_optimizer(mu, nu, args.cost)
-    _emit(args, render_json(rsol.to_document()) + "\n")
-    return EXIT_OK
+    return {
+        "schema": 1,
+        "kind": "reverse_solution",
+        "cost": rsol.cost.describe(),
+        "nu_star": _measure_doc(rsol.nu_star),
+        "map_knots": _knots_doc(rsol.tilde_map),
+        "irreducible_intervals": [[iv.lo, iv.hi] for iv in rsol.irreducibles_mu_nustar],
+        "value": float(rsol.value),
+    }
 
 
-def cmd_compose(args) -> int:
-    mu = read_measure_csv(args.mu)
-    nu = read_measure_csv(args.nu)
+def cmd_compose(args, mu, nu):
     sol = solve_weak_transport(mu, nu, args.cost)
     mg = martingale.build_martingale_coupling(sol.pushforward, nu)
     pi = martingale.compose_with_map(mu, sol.map, mg)
     if args.fmt == "csv":
-        _emit(args, martingale.coupling_to_csv(pi))
-    else:
-        doc = {
-            "schema": 1,
-            "kind": "coupling",
-            "entries": [
-                [float(mu.atoms[r]), float(nu.atoms[c]), float(m)]
-                for r, c, m in zip(pi.rows, pi.cols, pi.mass)
-            ],
-            "cost": args.cost.describe(),
-            "barycentric_cost": pi.cost(args.cost),
+        return martingale.coupling_to_csv(pi)
+    doc = {
+        "schema": 1,
+        "kind": "coupling",
+        "entries": [
+            [float(mu.atoms[r]), float(nu.atoms[c]), float(m)]
+            for r, c, m in zip(pi.rows, pi.cols, pi.mass)
+        ],
+        "cost": args.cost.describe(),
+        "barycentric_cost": pi.cost(args.cost),
+    }
+    if args.verify:
+        cert = martingale.optimality_certificate(pi, mu, nu, args.cost, args.tol)
+        doc["verification"] = {
+            "optimality_certificate": cert.ok,
+            "violations": list(cert.violations),
         }
-        if args.verify:
-            cert = martingale.optimality_certificate(pi, mu, nu, args.cost, args.tol)
-            doc["verification"] = {
-                "optimality_certificate": cert.ok,
-                "violations": list(cert.violations),
-            }
-        _emit(args, render_json(doc) + "\n")
-    return EXIT_OK
+    return doc
 
 
-def cmd_stability(args) -> int:
-    mu = read_measure_csv(args.mu)
-    nu = read_measure_csv(args.nu)
+def cmd_stability(args, mu, nu):
     ladder = stability.PerturbationLadder(
         mu,
         nu,
@@ -247,10 +206,28 @@ def cmd_stability(args) -> int:
     )
     report = stability.run_stability_experiment(ladder, args.cost)
     if args.fmt == "csv":
-        _emit(args, report.to_csv())
-    else:
-        _emit(args, render_json(report.to_document()) + "\n")
-    return EXIT_OK
+        return report.to_csv()
+    return {
+        "schema": 1,
+        "kind": "stability_report",
+        "ladder": report.kind,
+        "rho": report.rho,
+        "cost": report.cost.describe(),
+        # when the source marginal itself moves, maps are compared through
+        # common quantile levels; this is a reporting convention
+        "map_gap_semantics": "common-quantile identification on (0,1)",
+        "base_value": report.base_value,
+        "rungs": [
+            {
+                "k": r.k,
+                "value": r.value,
+                "value_gap": r.value_gap,
+                "optimizer_gap_w1": r.optimizer_gap_w1,
+                "map_gaps": {f"{e:g}": r.map_gaps[e] for e in stability.MAP_GAP_EPS},
+            }
+            for r in report.rungs
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +313,16 @@ def segments_to_svg(segs, knots_x, knots_t) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(args) -> int:
-    mu = read_measure_csv(args.mu)
-    nu = read_measure_csv(args.nu)
+def cmd_plot(args, mu, nu):
     sol = solve_weak_transport(mu, nu, args.cost)
     segs = plot_segments(sol, mu)
-    csv_lines = ["x0,t0,x1,t1,class"]
-    for seg in segs:
-        csv_lines.append(
-            f"{fmt(seg['x0'])},{fmt(seg['t0'])},{fmt(seg['x1'])},{fmt(seg['t1'])},{seg['class']}"
-        )
     svg = segments_to_svg(segs, list(sol.map.knots_x), list(sol.map.knots_t))
     out = args.out or "transport_plot.svg"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     with open(out + ".csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
+        fh.write(_csv("x0,t0,x1,t1,class", (seg.values() for seg in segs)))
     sys.stdout.write(f"wrote {out} and {out}.csv\n")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +337,6 @@ FLAGS = {
     "--rho": {"type": float, "default": 2.0, "help": "exponent for --cost power"},
     "--tol": {"type": float, "default": 1e-7, "help": "verification tolerance (times scale)"},
     "--verify": {"action": "store_true"},
-    "--verify-theta": {"action": "store_true"},
     "--format": {"dest": "fmt", "choices": ("json", "csv"), "default": "json"},
     "--seed": {"type": int, "default": 0},
     "--ladder": {"choices": ("shift", "empirical", "quantize"), "default": "shift"},
@@ -390,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("potential", cmd_potential, False, ("--format",)),
         ("check-order", cmd_check_order, True, ()),
         ("irreducible", cmd_irreducible, True, ("--format",)),
-        ("wmr", cmd_wmr, True, (*COST, "--tol", "--verify", "--verify-theta")),
-        ("value", cmd_value, True, (*COST, "--verify-theta")),
+        ("wmr", cmd_wmr, True, (*COST, "--tol", "--verify")),
+        ("value", cmd_value, True, COST),
         ("reverse", cmd_reverse, True, COST),
         ("compose", cmd_compose, True, (*COST, "--tol", "--verify", "--format")),
         ("plot", cmd_plot, True, COST),
         ("stability", cmd_stability, True, (*COST, "--format", *LADDER)),
     ):
-        p = sub.add_parser(name, allow_abbrev=False)  # `value --verify` is not --verify-theta
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(handler=handler)
         p.add_argument("mu", help="measure CSV (atom,weight per line)")
         if needs_two:
@@ -409,11 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse argv, read the measures, run the subcommand and write what it
+    returns: a document as JSON, CSV text as is, to stdout or --out."""
     args = build_parser().parse_args(argv)
     try:
         if "cost" in args:
             args.cost = CostSpec(args.cost, args.rho)
-        return args.handler(args)
+        paths = (args.mu, args.nu) if "nu" in args else (args.mu,)
+        out = args.handler(args, *map(read_measure_csv, paths))
+        if isinstance(out, dict):
+            out = render_json(out) + "\n"
+        if args.out and out is not None:  # plot writes --out itself and returns None
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        elif out is not None:
+            sys.stdout.write(out)
+        return EXIT_OK
     except (OSError, ValueError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return EXIT_IO

@@ -25,6 +25,8 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     Interval,
+    _csv_rows,
+    _order_failure,
     convex_order_leq,
     lowest_mass,
     mean,
@@ -136,7 +138,7 @@ def build_martingale_coupling(eta: DiscreteMeasure, nu: DiscreteMeasure) -> Mart
     Raises OrderError when eta <=_c nu fails.
     """
     if not convex_order_leq(eta, nu):
-        raise OrderError("martingale coupling requires eta <=_c nu")
+        raise OrderError(f"martingale coupling: {_order_failure(eta, nu, 'eta', 'nu')}")
     s = support_scale(eta, nu)
     # nu's atoms are nodes 1..m; 0 and m + 1 are sentinels. The atoms with
     # mass left form a doubly linked list, and an atom leaves it when its
@@ -271,7 +273,6 @@ def compose_with_map(mu: DiscreteMeasure, map_: MonotoneMap, mg: Coupling) -> Co
 class MartingaleDecomposition:
     components: tuple  # (Interval, entry index array) pairs
     fixed: np.ndarray  # indices of diagonal entries on F
-    ambiguous_sources: tuple  # source atoms sitting exactly on a component endpoint
 
 
 def decompose_martingale(mg: MartingaleCoupling, tol: float = 1e-9) -> MartingaleDecomposition:
@@ -312,18 +313,12 @@ def decompose_martingale(mg: MartingaleCoupling, tol: float = 1e-9) -> Martingal
         raise StructureError(
             f"entry {k}: source {float(src[k])} lies in the fixed set F but moves to {float(tgt[k])}"
         )
-    ambiguous = np.empty(0)
-    if comps:
-        endpoints = np.array([e for iv in comps for e in (iv.lo, iv.hi)])
-        near = endpoints[nearest_atom(endpoints, src)]
-        ambiguous = np.unique(src[fixed & (np.abs(src - near) <= margin)])
     entry_order = np.argsort(where, kind="stable")
     split = np.cumsum(np.bincount(where[~fixed], minlength=len(comps)))
     entries = np.split(entry_order[int(fixed.sum()):], split[:-1])
     return MartingaleDecomposition(
         components=tuple(zip(comps, entries)),
         fixed=np.flatnonzero(fixed),
-        ambiguous_sources=tuple(ambiguous.tolist()),
     )
 
 
@@ -364,11 +359,12 @@ def optimality_certificate(
 ) -> CertificateReport:
     """A coupling is optimal iff its barycenter map is the weak monotone
     rearrangement and the induced second stage is a martingale coupling.
+    The rearrangement is the same for every strictly convex cost, so this
+    characterization holds for each of them and cost is not read.
 
     The rearrangement's values on mu's atoms are read from the hull kernel
     (wmr._hull_map), with no full solve: no pushforward, KKT residual or
     irreducible intervals are built."""
-    cost = cost or CostSpec.quadratic()
     if not (measures_close(pi.source, mu) and measures_close(pi.target, nu)):
         raise CouplingError("coupling marginals do not match (mu, nu)")
     s = support_scale(mu, nu)
@@ -496,22 +492,7 @@ def coupling_to_csv(pi: Coupling) -> str:
 
 
 def parse_coupling_csv(text: str, source: DiscreteMeasure, target: DiscreteMeasure) -> Coupling:
-    linenos, entries = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 comma-separated fields")
-        try:
-            entries.append([float(v) for v in parts])
-        except ValueError:
-            if lineno == 1:
-                continue
-            raise ValueError(f"line {lineno}: non-numeric entry") from None
-        linenos.append(lineno)
-    a, b, mass = np.array(entries, dtype=float).reshape(-1, 3).T
+    linenos, (a, b, mass) = _csv_rows(text, "source_atom,target_atom,mass")
     rows = nearest_atom(source.atoms, a)
     cols = nearest_atom(target.atoms, b)
     tol = 1e-9 * support_scale(source, target)

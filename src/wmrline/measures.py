@@ -262,11 +262,32 @@ def convex_order_leq(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_
     piecewise-linear potentials has local maxima only at downward kinks, which
     sit at b's atoms, and equal means pin the behaviour at infinity.
     """
+    return _order_witness(a, b, tol) is None
+
+
+def _order_witness(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_TOL) -> dict | None:
+    """Why a <=_c b fails at tol * scale, or None when it holds: the two
+    means when they differ, else the index and position of b's atom where
+    u_a - u_b is largest, and that excess."""
     s = support_scale(a, b)
     if abs(mean(a) - mean(b)) > tol * s:
-        return False
+        return {"kind": "mean_mismatch", "mean_a": mean(a), "mean_b": mean(b)}
     gap = potential_at(a, b.atoms) - potential_at(b, b.atoms)
-    return bool(np.all(gap <= tol * s))
+    j = int(np.argmax(gap))
+    if gap[j] <= tol * s:
+        return None
+    return {"kind": "potential_violation", "index": j, "atom": float(b.atoms[j]),
+            "excess": float(gap[j])}
+
+
+def _order_failure(a, b, na: str, nb: str, tol: float = ORDER_TOL) -> str:
+    """The witness of a failed a <=_c b in words, calling a and b na and nb."""
+    w = _order_witness(a, b, tol)
+    if w["kind"] == "mean_mismatch":
+        why = f"mean({na}) - mean({nb}) = {w['mean_a'] - w['mean_b']:.3e}"
+    else:
+        why = f"u_{na} - u_{nb} = {w['excess']:.3e} at {nb}'s atom {w['index']} ({w['atom']!r})"
+    return f"{na} <=_c {nb} fails: {why}, above tol {tol * support_scale(a, b):.3e}"
 
 
 @dataclass(frozen=True)
@@ -325,7 +346,7 @@ def irreducible_components(
     tol); levels where the slack is at most tol * scale count as contacts.
     """
     if not convex_order_leq(a, b, tol):
-        raise OrderError("irreducible components require a <=_c b")
+        raise OrderError(f"irreducible components: {_order_failure(a, b, 'a', 'b', tol)}")
     levels = np.concatenate(([0.0], a.cumulative()))
     slack = _order_slack(a, b, a.atoms)
     return _slack_components(levels, slack, b, tol * support_scale(a, b))
@@ -522,26 +543,34 @@ def measure_from_potential(u: PiecewiseLinearFn) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 
-def parse_measure_csv(text: str) -> DiscreteMeasure:
-    atoms, weights = [], []
+def _csv_rows(text: str, header: str) -> tuple[list, np.ndarray]:
+    """Line numbers and values, one column per field of header, of the data
+    rows of comma-separated text; blank lines and a non-numeric line 1 (a
+    header) are skipped."""
+    fields = header.count(",") + 1
+    linenos, rows = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'atom,weight', got {raw!r}")
+        parts = line.split(",")
+        if len(parts) != fields:
+            raise ValueError(f"line {lineno}: expected '{header}', got {raw!r}")
         try:
-            a, w = float(parts[0]), float(parts[1])
+            rows.append([float(p) for p in parts])
         except ValueError:
             if lineno == 1:  # header row
                 continue
             raise ValueError(f"line {lineno}: non-numeric entry in {raw!r}") from None
-        atoms.append(a)
-        weights.append(w)
-    if not atoms:
+        linenos.append(lineno)
+    return linenos, np.array(rows, dtype=float).reshape(-1, fields).T
+
+
+def parse_measure_csv(text: str) -> DiscreteMeasure:
+    _, (atoms, weights) = _csv_rows(text, "atom,weight")
+    if not atoms.size:
         raise ValueError("no data rows in measure CSV")
-    return DiscreteMeasure(np.array(atoms), np.array(weights))
+    return DiscreteMeasure(atoms, weights)
 
 
 def read_measure_csv(path) -> DiscreteMeasure:

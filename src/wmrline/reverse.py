@@ -24,6 +24,7 @@ from .measures import (
     ORDER_TOL,
     DiscreteMeasure,
     Interval,
+    _order_failure,
     convex_order_leq,
     irreducible_components,
     level_blocks,
@@ -47,23 +48,6 @@ class ReverseSolution:
     irreducibles_mu_nustar: list[Interval]
     value: float
     cost: CostSpec
-
-    def to_document(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "reverse_solution",
-            "cost": self.cost.describe(),
-            "nu_star": {
-                "atoms": [float(a) for a in self.nu_star.atoms],
-                "weights": [float(w) for w in self.nu_star.weights],
-            },
-            "map_knots": [
-                [float(a), float(b)]
-                for a, b in zip(self.tilde_map.knots_x, self.tilde_map.knots_t)
-            ],
-            "irreducible_intervals": [[iv.lo, iv.hi] for iv in self.irreducibles_mu_nustar],
-            "value": float(self.value),
-        }
 
 
 def reverse_optimizer(
@@ -115,7 +99,7 @@ def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> list[Int
     if not tilde.is_monotone(1e-9 * s) or not tilde.is_one_lipschitz(1e-9 * s):
         raise ConsistencyError("reverse map is not increasing and 1-Lipschitz")
     if not convex_order_leq(mu, nu_star):
-        raise ConsistencyError("mu is not below nu* in convex order")
+        raise ConsistencyError(f"reverse solution: {_order_failure(mu, nu_star, 'mu', 'nu*')}")
     if not measures_close(DiscreteMeasure(images, wts), nu, 1e-9):
         raise ConsistencyError("reverse map does not push nu* onto nu")
     direct = float(np.dot(mu.weights, cost.value(mu.atoms - t)))

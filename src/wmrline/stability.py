@@ -238,29 +238,6 @@ class StabilityReport:
             lines.append(f"{r.k},{r.value_gap:.16e},{r.optimizer_gap_w1:.16e},{gaps}")
         return "\n".join(lines) + "\n"
 
-    def to_document(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "stability_report",
-            "ladder": self.kind,
-            "rho": self.rho,
-            "cost": self.cost.describe(),
-            # when the source marginal itself moves, maps are compared through
-            # common quantile levels; this is a reporting convention
-            "map_gap_semantics": "common-quantile identification on (0,1)",
-            "base_value": self.base_value,
-            "rungs": [
-                {
-                    "k": r.k,
-                    "value": r.value,
-                    "value_gap": r.value_gap,
-                    "optimizer_gap_w1": r.optimizer_gap_w1,
-                    "map_gaps": {f"{e:g}": r.map_gaps[e] for e in MAP_GAP_EPS},
-                }
-                for r in self.rungs
-            ],
-        }
-
 
 def _map_gaps(mu_a, t_a, mu_b, t_b) -> dict:
     """For each eps in MAP_GAP_EPS, the Lebesgue measure on (0,1) of levels

@@ -169,21 +169,6 @@ class WeakSolution:
     kkt_residual: float
     cost: CostSpec
 
-    def to_document(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "weak_solution",
-            "cost": self.cost.describe(),
-            "map_knots": [[float(a), float(b)] for a, b in zip(self.map.knots_x, self.map.knots_t)],
-            "pushforward": {
-                "atoms": [float(a) for a in self.pushforward.atoms],
-                "weights": [float(w) for w in self.pushforward.weights],
-            },
-            "value": float(self.value),
-            "irreducible_intervals": [[iv.lo, iv.hi] for iv in self.irreducibles],
-            "kkt_residual": float(self.kkt_residual),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Feasible polyhedron: monotone t with t(mu) <=_c nu (in quantile space)

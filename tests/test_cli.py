@@ -7,14 +7,19 @@ import pytest
 import wmrline.cli
 import wmrline.measures
 from wmrline import (
+    CostSpec,
     MonotoneMap,
+    PerturbationLadder,
     map_decomposition,
     pushforward,
     read_measure_csv,
+    reverse_optimizer,
+    run_stability_experiment,
     solve_weak_transport,
     write_measure_csv,
 )
-from wmrline.cli import main, plot_segments
+from wmrline.cli import main, plot_segments, render_json
+from wmrline.stability import MAP_GAP_EPS
 
 from conftest import clustered_pair, dm, mix_pair, spread_pair
 
@@ -53,6 +58,12 @@ class TestExitCodes:
     def test_missing_file_is_exit_two(self, measure_files):
         assert main(["wmr", "/nonexistent/mu.csv", measure_files["nu2"]]) == 2
 
+    def test_unwritable_out_is_exit_two(self, measure_files, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["wmr", measure_files["mu2"], measure_files["nu2"], "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not out.parent.exists()
+
     def test_failed_potential_check_is_exit_one(self, measure_files, monkeypatch, capsys):
         lowered = wmrline.measures.potential_at
         monkeypatch.setattr(wmrline.measures, "potential_at", lambda m, y: lowered(m, y) - 1e-6)
@@ -80,6 +91,8 @@ class TestFlags:
             ["compose", "{mu2}", "{nu2}", "--verify-theta"],
             ["value", "{mu2}", "{nu2}", "--verify"],
             ["value", "{mu2}", "{nu2}", "--tol", "1e-6"],
+            ["wmr", "{mu2}", "{nu2}", "--verify-theta"],
+            ["value", "{mu2}", "{nu2}", "--verify-theta"],
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, measure_files, argv_tail):
@@ -116,15 +129,6 @@ class TestDocuments:
         assert ver["violations"][0].startswith("decreasing between atoms")
         assert len(ver["violations"]) == len(set(ver["violations"])) == 2
 
-    def test_value_theta_independence_flag(self, measure_files, capsys):
-        code = main(
-            ["value", measure_files["mu2"], measure_files["nu2"], "--cost", "power", "--rho", "4",
-             "--verify-theta"]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["value"] == pytest.approx(1.0)
-
     def test_reverse_document(self, measure_files, capsys):
         assert main(["reverse", measure_files["dirac"], measure_files["nu2"]]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -152,6 +156,90 @@ class TestDocuments:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("k,value_gap,optimizer_gap_W1")
         assert len(lines) == 4
+
+
+def _solution_doc(sol):
+    return {
+        "schema": 1,
+        "kind": "weak_solution",
+        "cost": sol.cost.describe(),
+        "map_knots": [[float(a), float(b)] for a, b in zip(sol.map.knots_x, sol.map.knots_t)],
+        "pushforward": {
+            "atoms": [float(a) for a in sol.pushforward.atoms],
+            "weights": [float(w) for w in sol.pushforward.weights],
+        },
+        "value": float(sol.value),
+        "irreducible_intervals": [[iv.lo, iv.hi] for iv in sol.irreducibles],
+        "kkt_residual": float(sol.kkt_residual),
+    }
+
+
+def _reverse_doc(rsol):
+    return {
+        "schema": 1,
+        "kind": "reverse_solution",
+        "cost": rsol.cost.describe(),
+        "nu_star": {
+            "atoms": [float(a) for a in rsol.nu_star.atoms],
+            "weights": [float(w) for w in rsol.nu_star.weights],
+        },
+        "map_knots": [
+            [float(a), float(b)] for a, b in zip(rsol.tilde_map.knots_x, rsol.tilde_map.knots_t)
+        ],
+        "irreducible_intervals": [[iv.lo, iv.hi] for iv in rsol.irreducibles_mu_nustar],
+        "value": float(rsol.value),
+    }
+
+
+def _stability_doc(report):
+    return {
+        "schema": 1,
+        "kind": "stability_report",
+        "ladder": report.kind,
+        "rho": report.rho,
+        "cost": report.cost.describe(),
+        "map_gap_semantics": "common-quantile identification on (0,1)",
+        "base_value": report.base_value,
+        "rungs": [
+            {
+                "k": r.k,
+                "value": r.value,
+                "value_gap": r.value_gap,
+                "optimizer_gap_w1": r.optimizer_gap_w1,
+                "map_gaps": {f"{e:g}": r.map_gaps[e] for e in MAP_GAP_EPS},
+            }
+            for r in report.rungs
+        ],
+    }
+
+
+class TestDocumentSchema:
+    """The CLI's documents against the library results, laid out by the
+    schema-1 builders the result classes used to carry (copied above)."""
+
+    def test_matches_the_library_results(self, tmp_path, capsys):
+        rng = np.random.default_rng(31)
+        for k in range(30):
+            n = int(rng.integers(1, 20))
+            pair = mix_pair(rng, n, int(rng.integers(1, 20))) if k % 2 else spread_pair(rng, n)
+            paths = []
+            for name, m in zip(("mu", "nu"), pair):
+                paths.append(str(tmp_path / f"{name}{k}.csv"))
+                write_measure_csv(m, paths[-1])
+            mu, nu = map(read_measure_csv, paths)
+            cost = (CostSpec.quadratic(), CostSpec.quartic(), CostSpec.power(3.0))[k % 3]
+            flags = ["--cost", cost.kind, "--rho", repr(cost.rho)]
+            ladder = PerturbationLadder(mu, nu, "shift", length=2, rho=4.0)
+            for argv, doc in (
+                (["wmr", *paths, *flags], _solution_doc(solve_weak_transport(mu, nu, cost))),
+                (["reverse", *paths, *flags], _reverse_doc(reverse_optimizer(mu, nu, cost))),
+                (
+                    ["stability", *paths, *flags, "--rungs", "2", "--ladder-rho", "4"],
+                    _stability_doc(run_stability_experiment(ladder, cost)),
+                ),
+            ):
+                assert main(argv) == 0, (k, argv[0])
+                assert capsys.readouterr().out == render_json(doc) + "\n", (k, argv[0])
 
 
 class TestGoldenDeterminism:

@@ -748,3 +748,15 @@ class TestCouplingCsv:
         assert np.array_equal(back.rows, mg.rows)
         assert np.array_equal(back.cols, mg.cols)
         assert np.allclose(back.mass, mg.mass)
+
+    def test_messages_name_the_line(self):
+        eta, nu = dm([0.0], [1.0]), dm([-1.0, 1.0])
+        head = "source_atom,target_atom,mass\n"
+        with pytest.raises(ValueError, match=r"^line 3: non-numeric entry in '0,1,x'$"):
+            parse_coupling_csv(head + "0,-1,0.5\n0,1,x\n", eta, nu)
+        with pytest.raises(ValueError, match=r"^line 1: expected 'source_atom,target_atom,mass'"):
+            parse_coupling_csv("0,-1\n", eta, nu)
+        with pytest.raises(ValueError, match=r"^line 4: atom not found in the marginals$"):
+            parse_coupling_csv(head + "0,-1,0.5\n\n0,2,0.5\n", eta, nu)
+        back = parse_coupling_csv(head + "0,-1,0.5\n0,1,0.5\n", eta, nu)
+        assert back.cols.tolist() == [0, 1]

@@ -241,6 +241,21 @@ class TestIrreducibleComponents:
         with pytest.raises(OrderError):
             irreducible_components(dm([-2, 2]), dm([-1, 1]))
 
+    def test_order_failure_names_the_witness_and_tolerance(self):
+        # u_a(-1) = 2 and u_b(-1) = 1; the scale is 4, so the tolerance is 4e-9
+        want = (
+            r"^irreducible components: a <=_c b fails: "
+            r"u_a - u_b = 1\.000e\+00 at b's atom 0 \(-1\.0\), above tol 4\.000e-09$"
+        )
+        with pytest.raises(OrderError, match=want):
+            irreducible_components(dm([-2, 2]), dm([-1, 1]))
+        want = (
+            r"^irreducible components: a <=_c b fails: "
+            r"mean\(a\) - mean\(b\) = 5\.000e-01, above tol 4\.000e-09$"
+        )
+        with pytest.raises(OrderError, match=want):
+            irreducible_components(dm([-1.5, 2.5]), dm([-1, 1]))
+
     def test_matches_grid_scan(self, rng):
         # oracle: sign of the potential difference on a fine grid
         for _ in range(25):
@@ -476,3 +491,11 @@ class TestCsv:
             parse_measure_csv("")
         with pytest.raises(ValueError):
             parse_measure_csv("atom,weight\n1.0,x\n")
+
+    def test_messages_name_the_line(self):
+        with pytest.raises(ValueError, match=r"^line 4: non-numeric entry in '2\.0,x'$"):
+            parse_measure_csv("atom,weight\n\n1.0,0.5\n2.0,x\n")
+        with pytest.raises(ValueError, match=r"^line 2: expected 'atom,weight', got '1,2,3'$"):
+            parse_measure_csv("1.0,1.0\n1,2,3\n")
+        with pytest.raises(ValueError, match="^no data rows in measure CSV$"):
+            parse_measure_csv("atom,weight\n\n")
