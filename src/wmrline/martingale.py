@@ -34,7 +34,7 @@ from .measures import (
     nearest_atom,
     support_scale,
 )
-from .wmr import CostSpec, MonotoneMap, _hull_map
+from .wmr import CostSpec, MonotoneMap, _rearrangement
 
 MARGINAL_TOL = 1e-10
 BARYCENTER_TOL = 1e-9
@@ -362,14 +362,14 @@ def optimality_certificate(
     The rearrangement is the same for every strictly convex cost, so this
     characterization holds for each of them and cost is not read.
 
-    The rearrangement's values on mu's atoms are read from the hull kernel
-    (wmr._hull_map), with no full solve: no pushforward, KKT residual or
-    irreducible intervals are built."""
+    The rearrangement's values on mu's atoms are read from the rearrangement
+    kernel (wmr._rearrangement), with no full solve: no pushforward, KKT
+    residual or irreducible intervals are built."""
     if not (measures_close(pi.source, mu) and measures_close(pi.target, nu)):
         raise CouplingError("coupling marginals do not match (mu, nu)")
     s = support_scale(mu, nu)
     bary = pi.row_barycenters()
-    gap = float(np.abs(bary - _hull_map(mu, nu)[0]).max())
+    gap = float(np.abs(bary - _rearrangement(mu, nu)[0]).max())
     map_ok = gap <= tol * s
 
     viol = []

@@ -1,6 +1,6 @@
 """Finitely supported probability measures on the real line.
 
-Provides the order-theoretic toolkit used everywhere else: CDF/quantile
+Provides the order-theoretic toolkit used everywhere else: quantile
 evaluation, potential functions u(y) = int |x-y| dm, the convex order,
 irreducible intervals, Wasserstein distances and barycentric coarsening.
 """
@@ -85,17 +85,11 @@ class DiscreteMeasure:
         return float(self.atoms[-1] - self.atoms[0])
 
     def cumulative(self) -> np.ndarray:
-        """Cumulative weights; the last entry is exactly 1."""
-        c = np.cumsum(self.weights)
+        """Cumulative weights, nondecreasing and at most 1; the last entry is
+        exactly 1 (a rounded partial sum can overshoot 1 before it)."""
+        c = np.minimum(np.cumsum(self.weights), 1.0)
         c[-1] = 1.0
         return c
-
-    def cdf(self, y) -> np.ndarray:
-        """F(y) = mass of (-inf, y]."""
-        y = np.asarray(y, dtype=float)
-        idx = np.searchsorted(self.atoms, y, side="right")
-        cum = np.concatenate(([0.0], self.cumulative()))
-        return cum[idx]
 
     def shift(self, h: float) -> "DiscreteMeasure":
         return DiscreteMeasure(self.atoms + float(h), self.weights)
@@ -167,13 +161,22 @@ def quantiles_at(m: DiscreteMeasure, levels: np.ndarray) -> np.ndarray:
 def level_blocks(a: DiscreteMeasure, b: DiscreteMeasure):
     """Blocks of the merged cumulative levels of a and b, as (i, j, width):
     on the k-th block, of width width[k], a's left-continuous quantile is
-    atom i[k] and b's is atom j[k]. i and j are nondecreasing, and the widths
-    sum to 1 (the comonotone coupling of a and b)."""
-    ca, cb = a.cumulative(), b.cumulative()
-    levels = np.union1d(ca, cb)
-    i = np.minimum(np.searchsorted(ca, levels), a.n - 1)
-    j = np.minimum(np.searchsorted(cb, levels), b.n - 1)
-    return i, j, np.diff(levels, prepend=0.0)
+    atom i[k] and b's is atom j[k]. i and j are nondecreasing, the widths are
+    positive and sum to 1 (the comonotone coupling of a and b)."""
+    levels = np.concatenate((a.cumulative(), b.cumulative()))
+    order = np.argsort(levels, kind="stable")  # merges the two sorted runs
+    step = np.diff(levels[order], prepend=0.0)
+    k = np.flatnonzero(step)  # the first copy of each distinct level
+    i = np.concatenate(([0], np.cumsum(order < a.n)))[k]  # a's levels below it
+    return i, k - i, step[k]
+
+
+def _level_slack(i, j, width, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Partial sums of width * (t_i - y_j) over the blocks (i, j, width) of
+    level_blocks(a, b), with b's atoms y and values t on a's atoms, at a's
+    levels c_0 = 0, ..., c_n = 1: the order slack of t(a) against b."""
+    gaps = np.bincount(i, weights=width * (t[i] - y[j]), minlength=t.size)
+    return np.concatenate(([0.0], np.cumsum(gaps)))
 
 
 def lowest_mass(weights: np.ndarray, amount: float) -> np.ndarray:
@@ -305,34 +308,18 @@ class Interval:
         """Strict interior membership, shrunk by margin on both sides."""
         return self.lo + margin < y < self.hi - margin
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-
-def _quantile_integral(nu: DiscreteMeasure, s: np.ndarray, origin: float = 0.0) -> np.ndarray:
-    """G(s) = int_0^s (F_nu^{-1}(u) - origin) du, piecewise linear with kinks at nu's levels."""
-    cum = np.concatenate(([0.0], nu.cumulative()))
-    atoms = nu.atoms - origin
-    seg = np.concatenate(([0.0], np.cumsum(np.diff(cum) * atoms)))
-    j = np.searchsorted(cum, s, side="left")
-    j = np.clip(j, 1, nu.n)
-    return seg[j - 1] + (s - cum[j - 1]) * atoms[j - 1]
-
 
 def _order_slack(mu: DiscreteMeasure, nu: DiscreteMeasure, t: np.ndarray) -> np.ndarray:
     """Slack of t(mu) <=_c nu at mu's levels c_0 = 0, ..., c_n = 1:
-    sum_{j<=k} p_j t_j - G_nu(c_k), in coordinates centred on nu's first atom
-    so that wide offsets cancel before the partial sums are formed.
+    sum_{j<=k} p_j t_j - int_0^{c_k} F_nu^{-1}, formed block by block over
+    level_blocks(mu, nu) (_level_slack), so each term is a difference of two
+    atoms and wide offsets cancel before the partial sums are formed.
 
     t(mu) <=_c nu iff slack_k >= 0 for k < n and slack_n = 0 (equal means).
     Between two levels the slack is linear minus convex, hence concave, so
     nu's levels need no rows of their own.
     """
-    origin = float(nu.atoms[0])
-    c = np.concatenate(([0.0], mu.cumulative()))
-    partial = np.concatenate(([0.0], np.cumsum(mu.weights * (t - origin))))
-    return partial - _quantile_integral(nu, c, origin)
+    return _level_slack(*level_blocks(mu, nu), t, nu.atoms)
 
 
 def irreducible_components(

@@ -38,7 +38,7 @@ from .measures import (
     quantiles_at,
     support_scale,
 )
-from .wmr import CostSpec, MonotoneMap, _hull_map, slope1_violations
+from .wmr import CostSpec, MonotoneMap, _rearrangement, slope1_violations
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,14 @@ def reverse_optimizer(
     the point y_j + x_i - t_i with image y_j and the block's width as mass.
     d is nondecreasing (T is 1-Lipschitz), so the points come in order; on an
     irreducible interval T has slope 1, so d is its constant displacement
-    c_I, and on the fixed set y_j = t_i, so the point is x_i itself. Blocks
-    of width <= 1e-12 (a shared level split by rounding) are dropped, and a
-    point within MERGE_TOL times the span of its predecessor joins it. All
+    c_I, and on the fixed set y_j = t_i, so the point is x_i itself. A point
+    within MERGE_TOL times the span of its predecessor joins it. All
     postconditions are verified; any failure raises ConsistencyError. T is
-    read from the hull kernel (wmr._hull_map), with no full solve.
+    read from wmr._rearrangement, with no full solve.
     """
     cost = cost or CostSpec.quadratic()
-    t = _hull_map(mu, nu)[0]
+    t = _rearrangement(mu, nu)[0]
     i, j, width = level_blocks(mu, nu)
-    keep = width > 1e-12
-    i, j, width = i[keep], j[keep], width[keep]
     pos = nu.atoms[j] + (mu.atoms - t)[i]
     order = np.argsort(pos, kind="stable")
     pos, img = pos[order], nu.atoms[j][order]

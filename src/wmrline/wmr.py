@@ -7,16 +7,16 @@ For discrete mu, nu the problem is
 
 where t(mu) is the image measure of mu under atom_i -> t_i. With equal means,
 t(mu) <=_c nu is equivalent to the partial-sum constraints
-sum_{j<=k} p_j t_j >= G_nu(c_k) at mu's cumulative levels c_k, where G_nu is
-the integral of nu's quantile function. Writing h_k = G_nu(c_k) -
-sum_{j<=k} p_j x_j, the optimal displacement partial sums form the least
-concave majorant of the points (c_k, h_k) (the convex-order projection on
-the line of Alfonsi, Corbetta & Jourdain), so block i moves by the slope of
-that majorant over it. One monotone-chain pass gives the map in O(n), for
-every strictly convex cost at once: its slopes do not increase, so the map
-is increasing and 1-Lipschitz with slope 1 where the majorant is straight.
-Optimality is certified per cost by closed-form KKT multipliers computed
-from the map alone.
+sum_{j<=k} p_j t_j >= int_0^{c_k} F_nu^{-1} at mu's cumulative levels c_k.
+In quantile coordinates the optimal displacement t - x is the nonincreasing
+(antitonic) regression of the blocks' mean displacements under the quantile
+coupling of mu and nu: the slopes of the least concave majorant behind the
+convex-order projection on the line of Alfonsi, Corbetta & Jourdain. One
+pool-adjacent-violators pass over the blocks of level_blocks(mu, nu) gives
+the map in O(n + m), for every strictly convex cost at once: the pooled
+displacements do not increase, so the map is increasing and 1-Lipschitz,
+with slope 1 inside each pool. Optimality is certified per cost by
+closed-form KKT multipliers computed from the map alone.
 """
 
 from __future__ import annotations
@@ -31,18 +31,16 @@ from .measures import (
     ORDER_TOL,
     DiscreteMeasure,
     Interval,
-    _lower_hull,
+    _level_slack,
     _order_slack,
-    _quantile_integral,
     _slack_components,
     convex_order_leq,
     interval_index,
+    level_blocks,
     mean,
     pushforward,
     support_scale,
 )
-
-KKT_TOL = 1e-8  # accepted stationarity/feasibility residual, times scale
 
 
 @dataclass(frozen=True)
@@ -218,6 +216,14 @@ def transport_polyhedron(mu: DiscreteMeasure, nu: DiscreteMeasure, lipschitz: bo
     return A_eq, b_eq, A_in, b_in
 
 
+def _quantile_integral(nu: DiscreteMeasure, s: np.ndarray) -> np.ndarray:
+    """G(s) = int_0^s F_nu^{-1}(u) du, piecewise linear with kinks at nu's levels."""
+    cum = np.concatenate(([0.0], nu.cumulative()))
+    seg = np.concatenate(([0.0], np.cumsum(np.diff(cum) * nu.atoms)))
+    j = np.clip(np.searchsorted(cum, s, side="left"), 1, nu.n)
+    return seg[j - 1] + (s - cum[j - 1]) * nu.atoms[j - 1]
+
+
 def kkt_residual(mu: DiscreteMeasure, nu: DiscreteMeasure, t, cost: CostSpec) -> float:
     """Closed-form KKT certificate of map values t for the cost theta, in O(n).
 
@@ -247,26 +253,36 @@ def _kkt_parts(mu: DiscreteMeasure, t: np.ndarray, slack: np.ndarray, cost: Cost
     return max(0.0, *parts)
 
 
-def _hull_map(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """The weak monotone rearrangement's values t on mu's atoms, read off the
-    least concave majorant of h = -(the order slack of t = x), each quantity
-    formed once. Returns (t, slack, c, G, moved): mu's levels c (0 included),
-    G = _quantile_integral(nu, c, origin) centred on nu's first atom, the
-    order slack of t at c (the majorant minus h, exactly 0 at the hull
-    vertices), and moved = False when mu <=_c nu to 1e-12 * scale (t = x).
+def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The weak monotone rearrangement's values t on mu's atoms, their order
+    slack at mu's levels (as _order_slack forms it), and moved = False when
+    mu <=_c nu to 1e-12 * scale (then t = x exactly).
+
+    Atom i's blocks in level_blocks(mu, nu) have mass den_i and displacement
+    sum num_i = sum width * (y_j - x_i). Pool-adjacent violators merges two
+    adjacent pools while the earlier mean is below the later one (equal means
+    stay apart), and t is x plus its pool's mean: a ratio of sums over the
+    pool, so no rounding of global sums is divided by a tiny width. An atom
+    with no block (its weight lost to the rounding of the levels) joins the
+    pool before it.
     """
-    x, p = mu.atoms, mu.weights
-    origin = float(nu.atoms[0])
-    c = np.concatenate(([0.0], mu.cumulative()))
-    G = _quantile_integral(nu, c, origin)
-    h = -(np.concatenate(([0.0], np.cumsum(p * (x - origin)))) - G)
+    x, y = mu.atoms, nu.atoms
+    i, j, width = level_blocks(mu, nu)
+    num = np.bincount(i, weights=width * (y[j] - x[i]), minlength=mu.n)
+    slack = np.concatenate(([0.0], -np.cumsum(num)))  # _level_slack of t = x
     tol = 1e-12 * support_scale(mu, nu)
-    if h.max() <= tol and abs(h[-1]) <= tol:
-        return x, -h, c, G, False
-    # block i moves by the slope of the majorant over (c_{i-1}, c_i]
-    v = _lower_hull(c, -h)
-    t = x + np.repeat(np.diff(h[v]) / np.diff(c[v]), np.diff(v))
-    return t, np.interp(c, c[v], h[v]) - h, c, G, True
+    if -slack.min() <= tol and abs(slack[-1]) <= tol:
+        return x, slack, False
+    sums, mass, size = [], [], []
+    for a, w in zip(num.tolist(), np.bincount(i, weights=width, minlength=mu.n).tolist()):
+        k = 1
+        while sums and (w == 0.0 or sums[-1] * w < a * mass[-1]):
+            a, w, k = a + sums.pop(), w + mass.pop(), k + size.pop()
+        sums.append(a)
+        mass.append(w)
+        size.append(k)
+    t = x + np.repeat(np.array(sums) / np.array(mass), size)
+    return t, _level_slack(i, j, width, t, y), True
 
 
 def solve_weak_transport(
@@ -274,30 +290,29 @@ def solve_weak_transport(
 ) -> WeakSolution:
     """Minimize sum_i p_i theta(x_i - t_i) over monotone t with t(mu) <=_c nu.
 
-    With c_k mu's cumulative levels and h_k = G_nu(c_k) - sum_{j<=k} p_j x_j,
-    block i moves by the slope of the least concave majorant of (c_k, h_k)
-    over it: t_i = x_i + slope (_hull_map). The map is the same for every
-    strictly convex cost; only the value depends on theta. When h <= 0 with
-    h_n = 0 (to 1e-12 * scale), mu <=_c nu and t = x exactly, with residual
-    0. The irreducible intervals of (t(mu), nu) are read off the slack of t
-    at mu's levels, so no potential is evaluated.
+    t = x plus the pooled (antitonic) regression of the mean displacements of
+    mu's quantile blocks under the quantile coupling (_rearrangement). The map
+    is the same for every strictly convex cost; only the value depends on
+    theta. When mu <=_c nu to 1e-12 * scale, t = x exactly, with residual 0.
+    The irreducible intervals of (t(mu), nu) are read off the order slack of
+    t at mu's levels, so no potential is evaluated.
 
-    The reported residual is kkt_residual() of t under the cost, computed
-    from t and the measures alone. The non-strict |x| cost has no unique
-    optimizer; it gets the same map, certified with the quadratic multipliers.
+    The reported residual is kkt_residual() of t under the cost, from the
+    slack the public certificate forms. The non-strict |x| cost has no
+    unique optimizer; it gets the same map and the quadratic multipliers.
     """
     cost = cost or CostSpec.quadratic()
     x, p = mu.atoms, mu.weights
-    t, slack, c, G, moved = _hull_map(mu, nu)
+    t, slack, moved = _rearrangement(mu, nu)
     residual = 0.0
-    if moved:  # the slack of t against the hull's G, as _order_slack forms it
-        partial = np.concatenate(([0.0], np.cumsum(p * (t - float(nu.atoms[0])))))
+    if moved:
         certified = cost if cost.strictly_convex else CostSpec.quadratic()
-        residual = _kkt_parts(mu, t, partial - G, certified)
+        residual = _kkt_parts(mu, t, slack, certified)
 
     value = float(np.dot(p, cost.value(x - t)))
     push = pushforward(mu, t)
-    irre = _slack_components(c, slack, nu, ORDER_TOL * support_scale(push, nu))
+    levels = np.concatenate(([0.0], mu.cumulative()))
+    irre = _slack_components(levels, slack, nu, ORDER_TOL * support_scale(push, nu))
     return WeakSolution(
         map=MonotoneMap(x, t),
         pushforward=push,

@@ -574,8 +574,9 @@ class TestOptimalityCertificate:
         assert not rep.ok and not rep.map_matches_rearrangement
 
     def test_gap_is_the_gap_to_the_full_solve(self):
-        # the certificate reads the map from the hull kernel; its gap must be
-        # the one against the full solve's map, on passing and failing couplings
+        # the certificate reads the map from the rearrangement kernel; its
+        # gap must be the one against the full solve's map, on passing and
+        # failing couplings
         rng = np.random.default_rng(9102)
         failed = 0
         for mu, nu in four_family_pairs(rng, 320):

@@ -34,6 +34,7 @@ from conftest import (
     clustered_pair,
     dirac,
     dm,
+    four_family_pairs,
     mix_and_offset_pairs,
     mix_pair,
     offset_pair,
@@ -415,6 +416,65 @@ class TestLevelBlocks:
             mid = np.cumsum(width) - 0.5 * width
             assert np.array_equal(a.atoms[i], np.array([quantile(a, u) for u in mid]))
             assert np.array_equal(b.atoms[j], np.array([quantile(b, u) for u in mid]))
+
+
+# a trailing weight below the rounding of the partial sums before it
+TINY_TAIL = [0.17227609353408005, 0.35023981772382573, 0.31618173410429423,
+             0.16130235463779996, 2.836276496654493e-17]
+
+
+def level_blocks_reference(a, b):
+    """level_blocks as the union of both levels plus two searchsorted calls,
+    kept as its reference."""
+    ca, cb = a.cumulative(), b.cumulative()
+    levels = np.union1d(ca, cb)
+    i = np.minimum(np.searchsorted(ca, levels), a.n - 1)
+    j = np.minimum(np.searchsorted(cb, levels), b.n - 1)
+    return i, j, np.diff(levels, prepend=0.0)
+
+
+def tiny_tail_measure(rng):
+    """A random_measure with 2-14 atoms whose last weight is scaled by 1e-14."""
+    m = random_measure(rng, max_atoms=14)
+    while m.n < 2:
+        m = random_measure(rng, max_atoms=14)
+    w = m.weights.copy()
+    w[-1] *= 1e-14
+    return DiscreteMeasure(m.atoms, w / w.sum())
+
+
+class TestCumulative:
+    def test_never_overshoots_one(self):
+        m = dm(np.arange(5.0), TINY_TAIL)
+        c = m.cumulative()
+        assert np.all(np.diff(c) >= 0.0) and c.max() == c[-1] == 1.0
+        i, j, width = level_blocks(m, dm([0.0, 4.0]))
+        assert np.cumsum(width).max() <= 1.0 and np.all(width > 0.0)
+
+    def test_sorted_with_tiny_tails(self):
+        # unclipped partial sums overshoot 1 before the last entry on 14 of these
+        rng = np.random.default_rng(4103)
+        for _ in range(2000):
+            c = tiny_tail_measure(rng).cumulative()
+            assert np.all(np.diff(c) >= 0.0) and c[-1] == 1.0
+
+    def test_solve_on_a_tiny_tail_is_certified(self):
+        mu, nu = dm(np.arange(5.0), TINY_TAIL), dm([0.0, 4.0])
+        sol = weak_monotone_rearrangement(mu, nu)
+        assert sol.kkt_residual <= 1e-8 * support_scale(mu, nu)
+        assert np.all(np.diff(sol.map.knots_t) >= 0.0)
+
+
+class TestLevelBlocksMerge:
+    def test_bit_identical_to_the_union_and_searchsorted(self):
+        rng = np.random.default_rng(4104)
+        pairs = list(four_family_pairs(rng, 400))
+        pairs += [(tiny_tail_measure(rng), tiny_tail_measure(rng)) for _ in range(400)]
+        pairs += [(dm(np.arange(5.0), TINY_TAIL), dm([0.0, 4.0]))]
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a), (a, a)):
+                for got, want in zip(level_blocks(x, y), level_blocks_reference(x, y)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestLowestMass:
