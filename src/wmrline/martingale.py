@@ -53,15 +53,19 @@ class Coupling:
     mass: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64).reshape(-1)
-        cols = np.asarray(self.cols, dtype=np.int64).reshape(-1)
-        mass = np.asarray(self.mass, dtype=float).reshape(-1)
+        # copies, so the caller's arrays stay theirs and ours stay fixed
+        rows = np.array(self.rows, dtype=np.int64).reshape(-1)
+        cols = np.array(self.cols, dtype=np.int64).reshape(-1)
+        mass = np.array(self.mass, dtype=float).reshape(-1)
         if not (rows.size == cols.size == mass.size):
             raise CouplingError("rows, cols and mass must have equal length")
-        if np.any(mass <= 0.0):
+        if (mass <= 0.0).any():
             raise CouplingError("all coupling masses must be positive")
-        order = np.lexsort((cols, rows))
-        rows, cols, mass = rows[order], cols[order], mass[order]
+        r0, r1 = rows[:-1], rows[1:]
+        if (r0 > r1).any() or ((r0 == r1) & (cols[:-1] > cols[1:])).any():
+            # a stable lexsort of entries in (row, col) order is the identity
+            order = np.lexsort((cols, rows))
+            rows, cols, mass = rows[order], cols[order], mass[order]
         for arr in (rows, cols, mass):
             arr.setflags(write=False)
         object.__setattr__(self, "rows", rows)
@@ -81,7 +85,7 @@ class Coupling:
     def conditional(self, i: int) -> DiscreteMeasure:
         """Normalized conditional distribution of the i-th source atom."""
         sel = self.rows == i
-        if not np.any(sel):
+        if not sel.any():
             raise CouplingError(f"source atom {i} carries no mass")
         w = self.mass[sel]
         return DiscreteMeasure(self.target.atoms[self.cols[sel]], w / w.sum())
@@ -110,7 +114,7 @@ class MartingaleCoupling(Coupling):
 
 def _gate(gap: np.ndarray, tol: float, what: str) -> None:
     """Raise CouplingError naming the worst index of gap when it exceeds tol."""
-    k = int(np.argmax(gap))
+    k = int(gap.argmax())
     if gap[k] > tol:
         raise CouplingError(f"{what} {k}: off by {gap[k]:.3e} (tol {tol:.3e})")
 
@@ -150,7 +154,7 @@ def build_martingale_coupling(eta: DiscreteMeasure, nu: DiscreteMeasure) -> Mart
     nxt = list(range(1, m + 3))
     # eta's atoms increase, so the first node at or above each one, skipping
     # emptied atoms, is found by one pointer that only moves right
-    first = (np.searchsorted(nu.atoms, eta.atoms) + 1).tolist()
+    first = (nu.atoms.searchsorted(eta.atoms) + 1).tolist()
     p = 1
     rows, cols, mass = [], [], []
     for i, (x, weight) in enumerate(zip(eta.atoms.tolist(), eta.weights.tolist())):
@@ -249,17 +253,16 @@ def compose_with_map(mu: DiscreteMeasure, map_: MonotoneMap, mg: Coupling) -> Co
     pos = nearest_atom(mg.source.atoms, images)
     if np.abs(mg.source.atoms[pos] - images).max() > 1e-9 * s:
         raise CompositionError("mg.source does not match the pushforward of mu under the map")
-    got = np.zeros(mg.source.n)
-    np.add.at(got, pos, mu.weights)
+    got = np.bincount(pos, weights=mu.weights, minlength=mg.source.n)
     if np.abs(got - mg.source.weights).max() > 1e-9:
         raise CompositionError("pushforward weights do not match mg.source")
 
     # mg's entries are sorted by row, so image row pos[i] is the run of
     # count[i] entries from start[i]
     count = np.bincount(mg.rows, minlength=mg.source.n)[pos]
-    start = np.searchsorted(mg.rows, pos)
-    rows_out = np.repeat(np.arange(mu.n), count)
-    idx = np.repeat(start - np.cumsum(count) + count, count) + np.arange(rows_out.size)
+    start = mg.rows.searchsorted(pos)
+    rows_out = np.arange(mu.n).repeat(count)
+    idx = (start - count.cumsum() + count).repeat(count) + np.arange(rows_out.size)
     share = mu.weights / mg.source.weights[pos]
     return Coupling(mu, mg.target, rows_out, mg.cols[idx], mg.mass[idx] * share[rows_out])
 
@@ -292,33 +295,33 @@ def decompose_martingale(mg: MartingaleCoupling, tol: float = 1e-9) -> Martingal
     # entries are sorted by row, then column, so a row's span runs from its
     # first to its last column; sorted by their first column, spans start a
     # new component where they begin at or past the reach of all before
-    row_start = np.diff(mg.rows, prepend=-1) != 0
-    first = np.flatnonzero(row_start)
+    row_start = np.concatenate(([True], mg.rows[1:] != mg.rows[:-1]))
+    first = row_start.nonzero()[0]
     lo, hi = mg.cols[first], mg.cols[np.append(first[1:], mg.rows.size) - 1]
-    spans = np.flatnonzero(lo < hi)
-    order = spans[np.argsort(lo[spans], kind="stable")]
+    spans = (lo < hi).nonzero()[0]
+    order = spans[lo[spans].argsort(kind="stable")]
     reach = np.maximum.accumulate(np.concatenate(([-1], hi[order])))
     new = lo[order] >= reach[:-1]
     comp = np.full(lo.size, -1)
-    comp[order] = np.cumsum(new) - 1
-    start = np.flatnonzero(new)
+    comp[order] = new.cumsum() - 1
+    start = new.nonzero()[0]
     ends = zip(y[lo[order][start]].tolist(), y[np.maximum.reduceat(hi[order], start)].tolist())
     comps = [Interval(a, b) for a, b in ends]
 
-    where = comp[np.cumsum(row_start) - 1]
+    where = comp[row_start.cumsum() - 1]
     fixed = where < 0
     moves = fixed & (np.abs(tgt - src) > margin)
-    if np.any(moves):
-        k = int(np.argmax(moves))
+    if moves.any():
+        k = int(moves.argmax())
         raise StructureError(
             f"entry {k}: source {float(src[k])} lies in the fixed set F but moves to {float(tgt[k])}"
         )
-    entry_order = np.argsort(where, kind="stable")
-    split = np.cumsum(np.bincount(where[~fixed], minlength=len(comps)))
+    entry_order = where.argsort(kind="stable")
+    split = np.bincount(where[~fixed], minlength=len(comps)).cumsum()
     entries = np.split(entry_order[int(fixed.sum()):], split[:-1])
     return MartingaleDecomposition(
         components=tuple(zip(comps, entries)),
-        fixed=np.flatnonzero(fixed),
+        fixed=fixed.nonzero()[0],
     )
 
 
@@ -346,8 +349,8 @@ def _regroup(rows: np.ndarray, cols: np.ndarray, mass: np.ndarray):
     sort keeps each group's order and bincount adds in it)."""
     order = np.lexsort((cols, rows))
     r, c = rows[order], cols[order]
-    new = np.concatenate(([True], (np.diff(r) != 0) | (np.diff(c) != 0)))
-    return r[new], c[new], np.bincount(np.cumsum(new) - 1, weights=mass[order])
+    new = np.concatenate(([True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])))
+    return r[new], c[new], np.bincount(new.cumsum() - 1, weights=mass[order])
 
 
 def optimality_certificate(
@@ -498,6 +501,6 @@ def parse_coupling_csv(text: str, source: DiscreteMeasure, target: DiscreteMeasu
     tol = 1e-9 * support_scale(source, target)
     missing = (np.abs(source.atoms[rows] - a) > tol) | (np.abs(target.atoms[cols] - b) > tol)
     if missing.any():
-        lineno = linenos[int(np.argmax(missing))]
+        lineno = linenos[int(missing.argmax())]
         raise ValueError(f"line {lineno}: atom not found in the marginals")
     return Coupling(source, target, rows, cols, mass)

@@ -27,7 +27,7 @@ def _as_1d(x) -> np.ndarray:
         a = a.reshape(1)
     if a.ndim != 1:
         raise ValueError("expected a 1-D array of reals")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("entries must be finite")
     return a
 
@@ -52,21 +52,21 @@ class DiscreteMeasure:
             raise ValueError("atoms and weights must have equal length")
         if atoms.size == 0:
             raise ValueError("a measure needs at least one atom")
-        if np.any(weights < -1e-15):
+        if (weights < -1e-15).any():
             raise ValueError("weights must be positive")
         keep = weights > 0.0
-        if not np.any(keep):
+        if not keep.any():
             raise ValueError("all weights vanish")
-        atoms, weights = atoms[keep], weights[keep]
-        gaps = np.diff(atoms)
-        if np.any(gaps < 0.0):  # a stable argsort of sorted atoms is the identity
-            order = np.argsort(atoms, kind="stable")
+        atoms, weights = atoms[keep], weights[keep]  # copies: the caller's arrays stay theirs
+        gaps = atoms[1:] - atoms[:-1]
+        if (gaps < 0.0).any():  # a stable argsort of sorted atoms is the identity
+            order = atoms.argsort(kind="stable")
             atoms, weights = atoms[order], weights[order]
-            gaps = np.diff(atoms)
+            gaps = atoms[1:] - atoms[:-1]
         span = float(atoms[-1] - atoms[0])
         tol = MERGE_TOL * max(1.0, span)
-        if np.any(gaps <= tol):
-            atoms, weights = _merge_close(atoms, weights, tol)
+        if (gaps <= tol).any():
+            atoms, weights = _merge_close(atoms, weights, gaps, tol)
         total = float(weights.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total!r}, not 1")
@@ -87,7 +87,7 @@ class DiscreteMeasure:
     def cumulative(self) -> np.ndarray:
         """Cumulative weights, nondecreasing and at most 1; the last entry is
         exactly 1 (a rounded partial sum can overshoot 1 before it)."""
-        c = np.minimum(np.cumsum(self.weights), 1.0)
+        c = np.minimum(self.weights.cumsum(), 1.0)
         c[-1] = 1.0
         return c
 
@@ -104,19 +104,19 @@ class DiscreteMeasure:
         )
 
 
-def _merge_close(atoms: np.ndarray, weights: np.ndarray, tol: float):
-    """Group sorted atoms closer than tol; barycenter position, summed mass.
+def _merge_close(atoms: np.ndarray, weights: np.ndarray, gaps: np.ndarray, tol: float):
+    """Group sorted atoms at gaps (atoms[1:] - atoms[:-1]) <= tol; barycenter position, summed mass.
 
     Each barycenter is formed from offsets to its group's first atom, so it
     stays inside the group (exact duplicates keep their position) even where
     the atoms' ulp exceeds tol."""
     new = np.empty(atoms.size, dtype=bool)
     new[0] = True
-    np.greater(atoms[1:] - atoms[:-1], tol, out=new[1:])
-    start = np.flatnonzero(new)
+    np.greater(gaps, tol, out=new[1:])
+    start = new.nonzero()[0]
     first = atoms[start]
     mass = np.add.reduceat(weights, start)
-    offset = atoms - first[np.cumsum(new) - 1]
+    offset = atoms - first[new.cumsum() - 1]
     return first + np.add.reduceat(weights * offset, start) / mass, mass
 
 
@@ -147,14 +147,12 @@ def quantile(m: DiscreteMeasure, level: float) -> float:
     """Left-continuous inverse CDF: inf{x : F(x) >= level}, level in (0, 1]."""
     if not 0.0 < level <= 1.0:
         raise DomainError(f"quantile level must lie in (0, 1], got {level!r}")
-    idx = int(np.searchsorted(m.cumulative(), level, side="left"))
-    idx = min(idx, m.n - 1)
-    return float(m.atoms[idx])
+    return float(quantiles_at(m, level))
 
 
 def quantiles_at(m: DiscreteMeasure, levels: np.ndarray) -> np.ndarray:
     """Vectorized left-continuous inverse CDF (no domain check)."""
-    idx = np.searchsorted(m.cumulative(), levels, side="left")
+    idx = m.cumulative().searchsorted(levels, side="left")
     return m.atoms[np.minimum(idx, m.n - 1)]
 
 
@@ -164,10 +162,11 @@ def level_blocks(a: DiscreteMeasure, b: DiscreteMeasure):
     atom i[k] and b's is atom j[k]. i and j are nondecreasing, the widths are
     positive and sum to 1 (the comonotone coupling of a and b)."""
     levels = np.concatenate((a.cumulative(), b.cumulative()))
-    order = np.argsort(levels, kind="stable")  # merges the two sorted runs
-    step = np.diff(levels[order], prepend=0.0)
-    k = np.flatnonzero(step)  # the first copy of each distinct level
-    i = np.concatenate(([0], np.cumsum(order < a.n)))[k]  # a's levels below it
+    order = levels.argsort(kind="stable")  # merges the two sorted runs
+    levels = levels[order]
+    step = levels - np.concatenate(([0.0], levels[:-1]))
+    k = step.nonzero()[0]  # the first copy of each distinct level
+    i = np.concatenate(([0], (order < a.n).cumsum()))[k]  # a's levels below it
     return i, k - i, step[k]
 
 
@@ -176,7 +175,7 @@ def _level_slack(i, j, width, t: np.ndarray, y: np.ndarray) -> np.ndarray:
     level_blocks(a, b), with b's atoms y and values t on a's atoms, at a's
     levels c_0 = 0, ..., c_n = 1: the order slack of t(a) against b."""
     gaps = np.bincount(i, weights=width * (t[i] - y[j]), minlength=t.size)
-    return np.concatenate(([0.0], np.cumsum(gaps)))
+    return np.concatenate(([0.0], gaps.cumsum()))
 
 
 def lowest_mass(weights: np.ndarray, amount: float) -> np.ndarray:
@@ -192,9 +191,9 @@ def potential_at(m: DiscreteMeasure, y) -> np.ndarray:
     the sums are formed."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     w, x = m.weights, m.atoms
-    W = np.concatenate(([0.0], np.cumsum(w)))
-    S = np.concatenate(([0.0], np.cumsum(w * (x - x[0]))))
-    k = np.searchsorted(x, y, side="right")
+    W = np.concatenate(([0.0], w.cumsum()))
+    S = np.concatenate(([0.0], (w * (x - x[0])).cumsum()))
+    k = x.searchsorted(y, side="right")
     # below-y part contributes y*W_k - S_k, above-y part S_n - S_k - y*(1-W_k)
     return (y - x[0]) * (2.0 * W[k] - W[-1]) + S[-1] - 2.0 * S[k]
 
@@ -276,7 +275,7 @@ def _order_witness(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_TO
     if abs(mean(a) - mean(b)) > tol * s:
         return {"kind": "mean_mismatch", "mean_a": mean(a), "mean_b": mean(b)}
     gap = potential_at(a, b.atoms) - potential_at(b, b.atoms)
-    j = int(np.argmax(gap))
+    j = int(gap.argmax())
     if gap[j] <= tol * s:
         return None
     return {"kind": "potential_violation", "index": j, "atom": float(b.atoms[j]),
@@ -354,13 +353,13 @@ def _slack_components(levels, slack, b: DiscreteMeasure, thr: float) -> list[Int
     """
     cum = b.cumulative()
     hit = slack <= thr
-    hit[[0, -1]] = True
+    hit[0] = hit[-1] = True
     z = levels[hit]
     grid = np.concatenate(([0.0], cum))
     near = grid[nearest_atom(grid, z)]
     z = np.where(np.abs(near - z) <= 1e-12, near, z)
-    lo = np.searchsorted(cum, z[:-1], side="right")
-    hi = np.searchsorted(cum, z[1:], side="left")
+    lo = cum.searchsorted(z[:-1], side="right")
+    hi = cum.searchsorted(z[1:], side="left")
     keep = lo < hi
     ends = zip(b.atoms[lo[keep]].tolist(), b.atoms[hi[keep]].tolist())
     return [Interval(x, y) for x, y in ends]
@@ -378,7 +377,7 @@ def interval_index(intervals: list[Interval], points, margin: float = 0.0) -> np
         return np.full(points.shape, -1, dtype=np.int64)
     lo = np.array([iv.lo for iv in intervals])
     hi = np.array([iv.hi for iv in intervals])
-    k = np.searchsorted(lo + margin, points, side="left") - 1
+    k = (lo + margin).searchsorted(points, side="left") - 1
     return np.where((k >= 0) & (points < hi[k] - margin), k, -1)
 
 
@@ -388,7 +387,7 @@ def nearest_atom(grid: np.ndarray, points) -> np.ndarray:
     The nearest entry is one of the two neighbours of a point in the grid; a
     tie goes to the lower index, as argmin over |grid - point| would."""
     points = np.asarray(points, dtype=float)
-    k = np.searchsorted(grid, points)
+    k = grid.searchsorted(points)
     lower = np.maximum(k - 1, 0)
     upper = np.minimum(k, grid.size - 1)
     return np.where(points - grid[lower] <= grid[upper] - points, lower, upper)
@@ -420,10 +419,8 @@ def quantize(m: DiscreteMeasure, delta: float) -> DiscreteMeasure:
 
 def _bin_barycenters(m: DiscreteMeasure, idx: np.ndarray) -> DiscreteMeasure:
     keys, inverse = np.unique(idx, return_inverse=True)
-    w = np.zeros(keys.size)
-    wx = np.zeros(keys.size)
-    np.add.at(w, inverse, m.weights)
-    np.add.at(wx, inverse, m.weights * m.atoms)
+    w = np.bincount(inverse, weights=m.weights, minlength=keys.size)
+    wx = np.bincount(inverse, weights=m.weights * m.atoms, minlength=keys.size)
     return DiscreteMeasure(wx / w, w)
 
 

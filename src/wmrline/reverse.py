@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, OrderError, PreconditionError
 from .measures import (
     MERGE_TOL,
     ORDER_TOL,
@@ -71,10 +71,10 @@ def reverse_optimizer(
     t = _rearrangement(mu, nu)[0]
     i, j, width = level_blocks(mu, nu)
     pos = nu.atoms[j] + (mu.atoms - t)[i]
-    order = np.argsort(pos, kind="stable")
+    order = pos.argsort(kind="stable")
     pos, img = pos[order], nu.atoms[j][order]
     tol = MERGE_TOL * max(1.0, float(pos[-1] - pos[0]))
-    start = np.flatnonzero(np.concatenate(([True], np.diff(pos) > tol)))
+    start = np.concatenate(([True], pos[1:] - pos[:-1] > tol)).nonzero()[0]
     pos, img, wts = pos[start], img[start], np.add.reduceat(width[order], start)
     nu_star = DiscreteMeasure(pos, wts)
     tilde = MonotoneMap(pos, img)
@@ -95,8 +95,10 @@ def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> list[Int
     intervals of (mu, nu*)."""
     if not tilde.is_monotone(1e-9 * s) or not tilde.is_one_lipschitz(1e-9 * s):
         raise ConsistencyError("reverse map is not increasing and 1-Lipschitz")
-    if not convex_order_leq(mu, nu_star):
-        raise ConsistencyError(f"reverse solution: {_order_failure(mu, nu_star, 'mu', 'nu*')}")
+    try:  # the one convex-order pass: irreducible_components checks mu <=_c nu* first
+        comps = irreducible_components(mu, nu_star)
+    except OrderError:
+        raise ConsistencyError(f"reverse solution: {_order_failure(mu, nu_star, 'mu', 'nu*')}") from None
     if not measures_close(DiscreteMeasure(images, wts), nu, 1e-9):
         raise ConsistencyError("reverse map does not push nu* onto nu")
     direct = float(np.dot(mu.weights, cost.value(mu.atoms - t)))
@@ -110,7 +112,6 @@ def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> list[Int
         raise ConsistencyError(
             f"reverse map deviates from the rearrangement on supp(mu) by {gap.max():.3e}"
         )
-    comps = irreducible_components(mu, nu_star)
     z = nu_star.atoms
     bad = slope1_violations(z, z, images, comps, 1e-9 * s, 1e-7 * s)
     if bad:

@@ -18,6 +18,7 @@ from .martingale import build_martingale_coupling
 from .measures import (
     DiscreteMeasure,
     _bin_barycenters,
+    _order_failure,
     convex_order_leq,
     level_blocks,
     lowest_mass,
@@ -49,24 +50,23 @@ def eta_transfer(
     |x_i - R(x_i)| <= W_1(nu, nu_k) / min weight.
     """
     if not convex_order_leq(eta, nu):
-        raise OrderError("eta_transfer requires eta <=_c nu")
+        raise OrderError(f"eta_transfer requires eta <=_c nu: {_order_failure(eta, nu, 'eta', 'nu')}")
     M = build_martingale_coupling(eta, nu)
     # nu's conditional means under the quantile coupling of (nu, nu_k), which
     # is W_rho-optimal for every rho >= 1
     ia, ib, w = level_blocks(nu, nu_k)
     keep = w > 1e-15
-    cond_mean = np.zeros(nu.n)
-    np.add.at(cond_mean, ia[keep], w[keep] * nu_k.atoms[ib[keep]])
+    cond_mean = np.bincount(ia[keep], weights=w[keep] * nu_k.atoms[ib[keep]], minlength=nu.n)
     cond_mean /= nu.weights
 
-    R = np.zeros(eta.n)
-    np.add.at(R, M.rows, M.mass * cond_mean[M.cols])
+    R = np.bincount(M.rows, weights=M.mass * cond_mean[M.cols], minlength=eta.n)
     R /= eta.weights
     eta_k = DiscreteMeasure(R, eta.weights)
 
     s = support_scale(eta, nu, nu_k)
     if not convex_order_leq(eta_k, nu_k, 1e-8):
-        raise ConsistencyError("transferred measure is not below nu_k in convex order")
+        why = _order_failure(eta_k, nu_k, "eta_k", "nu_k", 1e-8)
+        raise ConsistencyError(f"transferred measure is not below nu_k in convex order: {why}")
     w1 = wasserstein(nu, nu_k, 1.0)
     per_atom = np.abs(eta.atoms - R)
     if per_atom.max() > w1 / float(eta.weights.min()) + 1e-9 * s:

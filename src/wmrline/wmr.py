@@ -32,6 +32,7 @@ from .measures import (
     DiscreteMeasure,
     Interval,
     _level_slack,
+    _order_failure,
     _order_slack,
     _slack_components,
     convex_order_leq,
@@ -125,12 +126,12 @@ class MonotoneMap:
         t = np.array(self.knots_t, dtype=float).reshape(-1)
         if x.size == 0 or x.shape != t.shape:
             raise ValueError("knots need equal, positive length")
-        dx = np.diff(x)
-        if np.any(dx < 0.0):  # a stable argsort of sorted knots is the identity
-            order = np.argsort(x, kind="stable")
+        dx = x[1:] - x[:-1]
+        if (dx < 0.0).any():  # a stable argsort of sorted knots is the identity
+            order = x.argsort(kind="stable")
             x, t = x[order], t[order]
-            dx = np.diff(x)
-        if np.any(dx <= 0):
+            dx = x[1:] - x[:-1]
+        if (dx <= 0).any():
             raise ValueError("knot positions must be strictly increasing")
         x.setflags(write=False)
         t.setflags(write=False)
@@ -139,18 +140,18 @@ class MonotoneMap:
 
     @classmethod
     def identity(cls, points) -> "MonotoneMap":
-        pts = np.asarray(points, dtype=float)
-        return cls(pts, pts.copy())
+        return cls(points, points)  # the constructor copies each
 
     def __call__(self, y) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return np.interp(y, self.knots_x, self.knots_t)
+        y = np.asarray(y, dtype=float)
+        return np.interp(y.reshape(1) if y.ndim == 0 else y, self.knots_x, self.knots_t)
 
     def is_monotone(self, tol: float) -> bool:
-        return bool(np.all(np.diff(self.knots_t) >= -tol))
+        return bool((self.knots_t[1:] - self.knots_t[:-1] >= -tol).all())
 
     def is_one_lipschitz(self, tol: float) -> bool:
-        return bool(np.all(np.diff(self.knots_t) <= np.diff(self.knots_x) + tol))
+        x, t = self.knots_x, self.knots_t
+        return bool((t[1:] - t[:-1] <= x[1:] - x[:-1] + tol).all())
 
     def push(self, m: DiscreteMeasure) -> DiscreteMeasure:
         return pushforward(m, self(m.atoms))
@@ -242,13 +243,14 @@ def kkt_residual(mu: DiscreteMeasure, nu: DiscreteMeasure, t, cost: CostSpec) ->
 def _kkt_parts(mu: DiscreteMeasure, t: np.ndarray, slack: np.ndarray, cost: CostSpec) -> float:
     """kkt_residual of t from its order slack at mu's levels (_order_slack)."""
     inner = slack[1:-1]
-    lam = np.diff(cost.deriv(mu.atoms - t))
+    d = cost.deriv(mu.atoms - t)
+    lam = d[1:] - d[:-1]
     parts = (
         abs(float(slack[-1])),
         -float(inner.min(initial=0.0)),
         -float(lam.min(initial=0.0)),
         float(np.abs(lam * inner).max(initial=0.0)),
-        -float(np.diff(t).min(initial=0.0)),
+        -float((t[1:] - t[:-1]).min(initial=0.0)),
     )
     return max(0.0, *parts)
 
@@ -269,7 +271,7 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     x, y = mu.atoms, nu.atoms
     i, j, width = level_blocks(mu, nu)
     num = np.bincount(i, weights=width * (y[j] - x[i]), minlength=mu.n)
-    slack = np.concatenate(([0.0], -np.cumsum(num)))  # _level_slack of t = x
+    slack = np.concatenate(([0.0], -num.cumsum()))  # _level_slack of t = x
     tol = 1e-12 * support_scale(mu, nu)
     if -slack.min() <= tol and abs(slack[-1]) <= tol:
         return x, slack, False
@@ -281,7 +283,7 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
         sums.append(a)
         mass.append(w)
         size.append(k)
-    t = x + np.repeat(np.array(sums) / np.array(mass), size)
+    t = x + (np.array(sums) / np.array(mass)).repeat(size)
     return t, _level_slack(i, j, width, t, y), True
 
 
@@ -355,19 +357,20 @@ def verify_admissible(
     x = mu.atoms
     t = map_(x)
     viol = []
-    dt = np.diff(t)
-    dx = np.diff(x)
-    monotone = bool(np.all(dt >= -tol * s))
+    dt, dx = t[1:] - t[:-1], x[1:] - x[:-1]
+    monotone = bool((dt >= -tol * s).all())
     if not monotone:
-        i = int(np.argmin(dt))
+        i = int(dt.argmin())
         viol.append(f"decreasing between atoms {x[i]} and {x[i + 1]}")
-    lip = bool(np.all(dt <= dx + tol * s))
+    lip = bool((dt <= dx + tol * s).all())
     if not lip:
-        i = int(np.argmax(dt - dx))
+        i = int((dt - dx).argmax())
         viol.append(f"expansion by {dt[i] - dx[i]:.3e} between atoms {x[i]} and {x[i + 1]}")
-    ordered = convex_order_leq(pushforward(mu, t), nu, max(ORDER_TOL, tol))
+    push, order_tol = pushforward(mu, t), max(ORDER_TOL, tol)
+    ordered = convex_order_leq(push, nu, order_tol)
     if not ordered:
-        viol.append("pushforward is not below nu in convex order")
+        why = _order_failure(push, nu, "T(mu)", "nu", order_tol)
+        viol.append(f"pushforward is not below nu in convex order: {why}")
     ok = monotone and lip and ordered
     return AdmissibilityReport(ok, monotone, lip, ordered, tuple(viol))
 
@@ -387,10 +390,10 @@ def slope1_violations(points, x, y, intervals: list[Interval], margin: float, to
     failing pairs as (interval, slope dy/dx), ordered by interval, then by a.
     """
     comp = interval_index(intervals, points, margin)
-    dx, dy = np.diff(x), np.diff(y)
+    dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
     bad = (comp[:-1] >= 0) & (comp[:-1] == comp[1:]) & (np.abs(dy - dx) > tol)
-    a = np.flatnonzero(bad)
-    a = a[np.argsort(comp[a], kind="stable")]
+    a = bad.nonzero()[0]
+    a = a[comp[a].argsort(kind="stable")]
     return [(intervals[comp[k]], float(dy[k] / dx[k])) for k in a.tolist()]
 
 
@@ -427,20 +430,14 @@ def map_decomposition(map_: MonotoneMap, tol: float = 1e-9):
     [lo, hi] pairs over the knot range.
     """
     x, t = map_.knots_x, map_.knots_t
-    scale = max(1.0, float(x[-1] - x[0]))
     if x.size < 2:
         return [], []
-    dx = np.diff(x)
-    unit = np.abs(np.diff(t) - dx) <= tol * scale
+    unit = np.abs(t[1:] - t[:-1] - (x[1:] - x[:-1])) <= tol * max(1.0, float(x[-1] - x[0]))
+    # maximal runs of equal class, from start[r] to start[r + 1] - 1
+    start = np.concatenate(([0], (unit[1:] != unit[:-1]).nonzero()[0] + 1, [unit.size]))
     slope1, contractive = [], []
-    i = 0
-    while i < unit.size:
-        j = i
-        while j + 1 < unit.size and unit[j + 1] == unit[i]:
-            j += 1
-        seg = (float(x[i]), float(x[j + 1]))
-        (slope1 if unit[i] else contractive).append(seg)
-        i = j + 1
+    for i, j in zip(start[:-1].tolist(), start[1:].tolist()):
+        (slope1 if unit[i] else contractive).append((float(x[i]), float(x[j])))
     return slope1, contractive
 
 
@@ -458,7 +455,7 @@ def smooth_strictify(map_: MonotoneMap, eps: float) -> MonotoneMap:
     if x.size < 2:
         return map_
     scale = max(1.0, float(x[-1] - x[0]), float(np.abs(t).max()))
-    flat = np.abs(np.diff(t)) <= 1e-12 * scale
+    flat = np.abs(t[1:] - t[:-1]) <= 1e-12 * scale
     add = np.zeros_like(t)
     k = 0
     acc = 0.0

@@ -68,6 +68,31 @@ class TestCouplingTypes:
             )
 
 
+class TestCouplingConstruction:
+    def test_matches_the_always_sorting_constructor(self):
+        # product couplings with some entries split in two halves, so that
+        # (row, col) pairs repeat and the sort's stability shows
+        rng = np.random.default_rng(9105)
+        for _ in range(200):
+            n, m = (int(v) for v in rng.integers(1, 12, 2))
+            a = DiscreteMeasure(np.sort(rng.uniform(-3.0, 3.0, n)), rng.dirichlet(np.ones(n)))
+            b = DiscreteMeasure(np.sort(rng.uniform(-3.0, 3.0, m)), rng.dirichlet(np.ones(m)))
+            rows, cols = np.repeat(np.arange(a.n), b.n), np.tile(np.arange(b.n), a.n)
+            mass = np.outer(a.weights, b.weights).ravel()
+            split = rng.random(rows.size) < 0.3
+            rows, cols = np.concatenate((rows, rows[split])), np.concatenate((cols, cols[split]))
+            mass = np.concatenate((np.where(split, 0.5 * mass, mass), 0.5 * mass[split]))
+            for perm in (np.lexsort((cols, rows)), rng.permutation(rows.size)):
+                r, c, w = rows[perm], cols[perm], mass[perm]
+                order = np.lexsort((c, r))
+                want = (r[order].tobytes(), c[order].tobytes(), w[order].tobytes())
+                pi = Coupling(a, b, r, c, w)
+                assert (pi.rows.tobytes(), pi.cols.tobytes(), pi.mass.tobytes()) == want
+                r[:], c[:], w[:] = -1, -1, 9.0  # the caller's arrays stay theirs
+                assert (pi.rows.tobytes(), pi.cols.tobytes(), pi.mass.tobytes()) == want
+                assert r.flags.writeable and c.flags.writeable and w.flags.writeable
+
+
 class TestGateMessages:
     """Each marginal and barycenter gate names its worst index, the margin
     and the tolerance."""

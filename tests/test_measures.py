@@ -81,7 +81,7 @@ class TestDiscreteMeasure:
             atoms, weights = atoms[keep][order], weights[keep][order]
             tol = MERGE_TOL * max(1.0, float(atoms[-1] - atoms[0]))
             if atoms.size > 1 and np.any(np.diff(atoms) <= tol):
-                atoms, weights = _merge_close(atoms, weights, tol)
+                atoms, weights = _merge_close(atoms, weights, np.diff(atoms), tol)
             return atoms, weights / float(weights.sum())
 
         rng = np.random.default_rng(9103)
@@ -96,10 +96,15 @@ class TestDiscreteMeasure:
                 continue
             weights /= weights.sum()
             for perm in (np.arange(atoms.size), rng.permutation(atoms.size)):
-                m = DiscreteMeasure(atoms[perm], weights[perm])
-                want_atoms, want_weights = always_sorted(atoms[perm], weights[perm])
+                x, w = atoms[perm], weights[perm]
+                want_atoms, want_weights = always_sorted(x, w)
+                m = DiscreteMeasure(x, w)
                 assert m.atoms.tobytes() == want_atoms.tobytes()
                 assert m.weights.tobytes() == want_weights.tobytes()
+                x[:], w[:] = 9.0, 0.5  # the caller's arrays stay theirs
+                assert m.atoms.tobytes() == want_atoms.tobytes()
+                assert m.weights.tobytes() == want_weights.tobytes()
+                assert x.flags.writeable and w.flags.writeable
 
     def test_immutable(self):
         m = dm([0.0, 1.0])

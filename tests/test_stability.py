@@ -43,7 +43,11 @@ class TestEtaTransfer:
         assert out.n == 1 and out.atoms[0] == pytest.approx(1.0 / k)
 
     def test_requires_order(self):
-        with pytest.raises(OrderError):
+        want = (
+            r"^eta_transfer requires eta <=_c nu: eta <=_c nu fails: "
+            r"u_eta - u_nu = 1\.000e\+00 at nu's atom 0 \(-1\.0\), above tol 4\.000e-09$"
+        )
+        with pytest.raises(OrderError, match=want):
             eta_transfer(dm([-2, 2]), dm([-1, 1]), dm([-1, 1]))
 
     def test_chain_and_per_atom_bounds(self, rng):

@@ -170,6 +170,15 @@ class TestVerifiers:
         )
         assert not rep.ok and not rep.monotone
 
+    def test_order_violation_names_the_witness(self):
+        # u_mu(-1) = 2 and u_nu(-1) = 1; the scale is 4 and tol 1e-7 > ORDER_TOL
+        rep = verify_admissible(MonotoneMap.identity([-2.0, 2.0]), dm([-2, 2]), dm([-1, 1]))
+        assert not rep.ok and not rep.pushforward_ordered
+        assert rep.violations == (
+            "pushforward is not below nu in convex order: T(mu) <=_c nu fails: "
+            "u_T(mu) - u_nu = 1.000e+00 at nu's atom 0 (-1.0), above tol 4.000e-07",
+        )
+
     def test_slope1_pass_on_solver_output(self):
         mu, nu = dirac(0.0), dm([-1, 1])
         sol = weak_monotone_rearrangement(mu, nu)
