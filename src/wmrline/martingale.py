@@ -38,6 +38,7 @@ from .wmr import CostSpec, MonotoneMap, _rearrangement
 
 MARGINAL_TOL = 1e-10
 BARYCENTER_TOL = 1e-9
+FIXED_TOL = 1e-9  # a single-column row may move its atom by at most this times scale
 # points of the competitor curve that find_two_point_improvement tries, in order
 COMPETITOR_ALPHAS = np.linspace(0.999, 0.5, 40)
 
@@ -278,7 +279,7 @@ class MartingaleDecomposition:
     fixed: np.ndarray  # indices of diagonal entries on F
 
 
-def decompose_martingale(mg: MartingaleCoupling, tol: float = 1e-9) -> MartingaleDecomposition:
+def decompose_martingale(mg: MartingaleCoupling) -> MartingaleDecomposition:
     """Assign each mass entry to the irreducible component of its row.
 
     The components are read off the coupling itself (Beiglboeck-Juillet):
@@ -286,9 +287,9 @@ def decompose_martingale(mg: MartingaleCoupling, tol: float = 1e-9) -> Martingal
     both sides of y. So each row with two or more columns spans the open
     interval between its outermost target atoms, and overlapping spans merge
     into one component. A row with a single column is fixed; if it moves its
-    atom by more than tol * scale, StructureError names the entry.
+    atom by more than FIXED_TOL * scale, StructureError names the entry.
     """
-    margin = tol * support_scale(mg.source, mg.target)
+    margin = FIXED_TOL * support_scale(mg.source, mg.target)
     y = mg.target.atoms
     src = mg.source.atoms[mg.rows]
     tgt = y[mg.cols]

@@ -321,21 +321,20 @@ def _order_slack(mu: DiscreteMeasure, nu: DiscreteMeasure, t: np.ndarray) -> np.
     return _level_slack(*level_blocks(mu, nu), t, nu.atoms)
 
 
-def irreducible_components(
-    a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_TOL
-) -> list[Interval]:
+def irreducible_components(a: DiscreteMeasure, b: DiscreteMeasure) -> list[Interval]:
     """Maximal open intervals where u_a < u_b, for a <=_c b.
 
     Read off the order slack of a at its cumulative levels (_order_slack with
     a's own atoms); see _slack_components. Every endpoint is an atom of b.
     Raises OrderError when the convex-order precondition fails (checked at
-    tol); levels where the slack is at most tol * scale count as contacts.
+    ORDER_TOL); levels where the slack is at most ORDER_TOL * scale count as
+    contacts.
     """
-    if not convex_order_leq(a, b, tol):
-        raise OrderError(f"irreducible components: {_order_failure(a, b, 'a', 'b', tol)}")
+    if not convex_order_leq(a, b):
+        raise OrderError(f"irreducible components: {_order_failure(a, b, 'a', 'b')}")
     levels = np.concatenate(([0.0], a.cumulative()))
     slack = _order_slack(a, b, a.atoms)
-    return _slack_components(levels, slack, b, tol * support_scale(a, b))
+    return _slack_components(levels, slack, b, ORDER_TOL * support_scale(a, b))
 
 
 def _slack_components(levels, slack, b: DiscreteMeasure, thr: float) -> list[Interval]:
@@ -443,13 +442,9 @@ def pl_max(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> PiecewiseLinearFn:
     fv, gv = f(grid), g(grid)
     # insert crossing points interior to segments where the sign of f-g flips
     d = fv - gv
-    cross = []
-    for k in range(grid.size - 1):
-        if d[k] * d[k + 1] < 0.0:
-            t = d[k] / (d[k] - d[k + 1])
-            cross.append(grid[k] + t * (grid[k + 1] - grid[k]))
-    if cross:
-        grid = np.union1d(grid, np.array(cross))
+    k = (d[:-1] * d[1:] < 0.0).nonzero()[0]
+    if k.size:
+        grid = np.union1d(grid, grid[k] + d[k] / (d[k] - d[k + 1]) * (grid[k + 1] - grid[k]))
         fv, gv = f(grid), g(grid)
     vals = np.maximum(fv, gv)
     bp, vals = _drop_collinear(grid, vals)

@@ -40,6 +40,8 @@ from .measures import (
 )
 from .wmr import CostSpec, MonotoneMap, _rearrangement, slope1_violations
 
+SHAPE_TOL = 1e-9  # residual_order_check's slack on increase and 1-Lipschitz, times scale
+
 
 @dataclass(frozen=True)
 class ReverseSolution:
@@ -136,9 +138,7 @@ def quantile_assignment(source: DiscreteMeasure, target: DiscreteMeasure) -> np.
     return quantiles_at(target, mids)
 
 
-def convex_order_max_map(
-    T: MonotoneMap, S: MonotoneMap, mu: DiscreteMeasure, tol: float = 1e-9
-) -> MonotoneMap:
+def convex_order_max_map(T: MonotoneMap, S: MonotoneMap, mu: DiscreteMeasure) -> MonotoneMap:
     """Increasing map R with R(mu) = T(mu) v S(mu) (convex-order maximum).
 
     Requires equal pushforward means. The maximum measure is recovered from
@@ -148,7 +148,7 @@ def convex_order_max_map(
     Tmu = T.push(mu)
     Smu = S.push(mu)
     s = support_scale(Tmu, Smu)
-    if abs(mean(Tmu) - mean(Smu)) > max(tol, ORDER_TOL) * s:
+    if abs(mean(Tmu) - mean(Smu)) > ORDER_TOL * s:
         raise PreconditionError("map maximum needs equal pushforward means")
     xi = measure_from_potential(pl_max(potential(Tmu), potential(Smu)))
     values = quantile_assignment(mu, xi)
@@ -187,7 +187,6 @@ def residual_order_check(
     eta2: DiscreteMeasure,
     T1: MonotoneMap,
     T2: MonotoneMap,
-    tol: float = 1e-9,
 ) -> bool:
     """(id - T1)(eta1) <=_c (id - T2)(eta2) for convex-ordered inputs.
 
@@ -198,9 +197,9 @@ def residual_order_check(
     s = support_scale(eta1, eta2)
     for m, f in ((eta1, T1), (eta2, T2)):
         vals = f(m.atoms)
-        if np.any(np.diff(vals) < -tol * s):
+        if np.any(np.diff(vals) < -SHAPE_TOL * s):
             raise PreconditionError("maps must be increasing on the atoms")
-        if np.any(np.diff(vals) > np.diff(m.atoms) + tol * s):
+        if np.any(np.diff(vals) > np.diff(m.atoms) + SHAPE_TOL * s):
             raise PreconditionError("maps must be 1-Lipschitz on the atoms")
     if not convex_order_leq(eta1, eta2):
         raise PreconditionError("need eta1 <=_c eta2")

@@ -22,7 +22,6 @@ from .measures import (
     convex_order_leq,
     level_blocks,
     lowest_mass,
-    mean,
     quantize,
     support_scale,
     wasserstein,
@@ -53,14 +52,17 @@ def eta_transfer(
         raise OrderError(f"eta_transfer requires eta <=_c nu: {_order_failure(eta, nu, 'eta', 'nu')}")
     M = build_martingale_coupling(eta, nu)
     # nu's conditional means under the quantile coupling of (nu, nu_k), which
-    # is W_rho-optimal for every rho >= 1
+    # is W_rho-optimal for every rho >= 1, in coordinates centred on nu's
+    # first atom so that wide offsets cancel before the sums are formed
+    ref = nu.atoms[0]
     ia, ib, w = level_blocks(nu, nu_k)
     keep = w > 1e-15
-    cond_mean = np.bincount(ia[keep], weights=w[keep] * nu_k.atoms[ib[keep]], minlength=nu.n)
+    cond_mean = np.bincount(ia[keep], weights=w[keep] * (nu_k.atoms[ib[keep]] - ref), minlength=nu.n)
     cond_mean /= nu.weights
 
     R = np.bincount(M.rows, weights=M.mass * cond_mean[M.cols], minlength=eta.n)
     R /= eta.weights
+    R += ref
     eta_k = DiscreteMeasure(R, eta.weights)
 
     s = support_scale(eta, nu, nu_k)
@@ -95,54 +97,32 @@ class TailTrim:
         return float(self.weights.sum())
 
 
-def _tail_moment(atoms, weights, amount, from_left: bool):
-    """First moment of the outermost `amount` of mass."""
-    a = atoms if from_left else atoms[::-1]
-    taken = lowest_mass(weights if from_left else weights[::-1], amount)
-    return float(np.dot(taken, a)), taken if from_left else taken[::-1]
-
-
 def truncate_mean_preserving(eta: DiscreteMeasure, eps: float) -> TailTrim:
     """Remove eps of mass from the two tails, keeping the barycenter exact.
 
     The split a + b = eps between the left and right tail solves the single
     linear balance equation moment(removed) = eps * mean(eta), which always
-    has a solution in [0, eps]; the removed moment is piecewise linear and
-    nonincreasing in a, so the root is found on its breakpoint grid.
+    has a solution in [0, eps]. The removed moment is piecewise linear and
+    nonincreasing in a, with kinks where a or 1 - eps + a is a cumulative
+    level; it is evaluated on that grid from prefix sums centred on the first
+    atom, and the root is read off the grid by linear interpolation.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
     if eta.n == 1:
         return TailTrim(eta.atoms.copy(), eta.weights.copy(), eta)
-    target = mean(eta) * eps
-
-    def removed_moment(a):
-        left, _ = _tail_moment(eta.atoms, eta.weights, a, True)
-        right, _ = _tail_moment(eta.atoms, eta.weights, eps - a, False)
-        return left + right
-
-    cum = np.cumsum(eta.weights)
-    grid = {0.0, eps}
-    grid.update(float(c) for c in cum if 0.0 < c < eps)
-    grid.update(float(eps - (1.0 - c)) for c in cum if 0.0 < eps - (1.0 - c) < eps)
-    grid = sorted(grid)
-    vals = [removed_moment(a) for a in grid]  # nonincreasing in a
-    a_star = None
-    for (a0, v0), (a1, v1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-        lo, hi = min(v0, v1), max(v0, v1)
-        if lo - 1e-12 <= target <= hi + 1e-12:
-            a_star = a0 if v1 == v0 else a0 + (a1 - a0) * (target - v0) / (v1 - v0)
-            a_star = min(max(a_star, a0), a1)
-            break
-    if a_star is None:
-        raise ConsistencyError("no tail split balances the mean")  # unreachable
-    _, taken_l = _tail_moment(eta.atoms, eta.weights, a_star, True)
-    _, taken_r = _tail_moment(eta.atoms, eta.weights, eps - a_star, False)
-    kept = eta.weights - taken_l - taken_r
-    kept = np.maximum(kept, 0.0)
+    w, x = eta.weights, eta.atoms
+    C = np.concatenate(([0.0], w.cumsum()))
+    S = np.concatenate(([0.0], (w * (x - x[0])).cumsum()))  # int_0^C (F^{-1} - x_0)
+    grid = np.union1d((0.0, eps), np.concatenate((C, C - (1.0 - eps))).clip(0.0, eps))
+    # the removed moment minus eps * x_0 at each left-tail mass a on the grid,
+    # and the a where it balances eps * (mean - x_0)
+    removed = np.interp(grid, C, S) + S[-1] - np.interp(grid + (1.0 - eps), C, S)
+    a = float(np.interp(-eps * S[-1], -removed, grid))
+    kept = np.maximum(w - lowest_mass(w, a) - lowest_mass(w[::-1], eps - a)[::-1], 0.0)
     pos = kept > 1e-15
-    renorm = DiscreteMeasure(eta.atoms[pos], kept[pos] / kept.sum())
-    return TailTrim(eta.atoms.copy(), kept, renorm)
+    renorm = DiscreteMeasure(x[pos], kept[pos] / kept.sum())
+    return TailTrim(x.copy(), kept, renorm)
 
 
 def finite_support_approx(eta: DiscreteMeasure, k: int) -> DiscreteMeasure:

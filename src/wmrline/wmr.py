@@ -43,6 +43,8 @@ from .measures import (
     support_scale,
 )
 
+UNIT_SLOPE_TOL = 1e-9  # map_decomposition: unit slope where rise - run is within this times scale
+
 
 @dataclass(frozen=True)
 class CostSpec:
@@ -423,7 +425,7 @@ def check_maximality(
     return convex_order_leq(candidate.push(mu), sol.pushforward)
 
 
-def map_decomposition(map_: MonotoneMap, tol: float = 1e-9):
+def map_decomposition(map_: MonotoneMap):
     """Split the knot range into maximal unit-slope intervals and the rest.
 
     Returns (slope1_intervals, contractive_intervals) as lists of closed
@@ -432,7 +434,7 @@ def map_decomposition(map_: MonotoneMap, tol: float = 1e-9):
     x, t = map_.knots_x, map_.knots_t
     if x.size < 2:
         return [], []
-    unit = np.abs(t[1:] - t[:-1] - (x[1:] - x[:-1])) <= tol * max(1.0, float(x[-1] - x[0]))
+    unit = np.abs(t[1:] - t[:-1] - (x[1:] - x[:-1])) <= UNIT_SLOPE_TOL * max(1.0, float(x[-1] - x[0]))
     # maximal runs of equal class, from start[r] to start[r + 1] - 1
     start = np.concatenate(([0], (unit[1:] != unit[:-1]).nonzero()[0] + 1, [unit.size]))
     slope1, contractive = [], []
@@ -456,32 +458,15 @@ def smooth_strictify(map_: MonotoneMap, eps: float) -> MonotoneMap:
         return map_
     scale = max(1.0, float(x[-1] - x[0]), float(np.abs(t).max()))
     flat = np.abs(t[1:] - t[:-1]) <= 1e-12 * scale
-    add = np.zeros_like(t)
-    k = 0
-    acc = 0.0
-    i = 0
-    while i < flat.size:
-        if not flat[i]:
-            add[i + 1] = acc
-            i += 1
-            continue
-        j = i
-        while j + 1 < flat.size and flat[j + 1]:
-            j += 1
-        k += 1
-        lam = float(x[j + 1] - x[i])
-        rate = min(eps / (lam * 2.0**k), 1.0)
-        for idx in range(i + 1, j + 2):
-            add[idx] = acc + rate * float(x[idx] - x[i])
-        acc = add[j + 1]
-        i = j + 1
-    add[0] = 0.0
-    # positions after a processed run keep the accumulated increment
-    out = t + add
-    for idx in range(1, out.size):  # guard against rounding ties
-        if out[idx] <= out[idx - 1] and not flat[idx - 1]:
-            out[idx] = out[idx - 1] + (t[idx] - t[idx - 1])
-    return MonotoneMap(x, out)
+    # +1 at the knot where a flat run starts, -1 at the knot where it ends
+    edge = np.diff(flat.astype(np.int8), prepend=0, append=0)
+    starts = edge == 1
+    lo, hi = x[starts], x[edge == -1]
+    rate = np.minimum(eps / ((hi - lo) * 2.0 ** np.arange(1, lo.size + 1)), 1.0)
+    run = starts[:-1].cumsum() - 1  # the run of each flat segment
+    inc = np.zeros_like(t)
+    inc[1:][flat] = rate[run[flat]] * (x[1:] - x[:-1])[flat]
+    return MonotoneMap(x, t + inc.cumsum())
 
 
 # ---------------------------------------------------------------------------

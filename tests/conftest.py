@@ -102,6 +102,11 @@ def offset_pair(rng):
     return mu.shift(offset), nu.shift(offset)
 
 
+# offset_pair draws of default_rng(k), k = 0..159, whose left-curtain coupling
+# misses the MartingaleCoupling barycenter gate, by 1.05 to 4.3 times its tolerance
+OFFSET_COUPLING_FAILURES = {41, 74, 80, 95, 100}
+
+
 def mix_and_offset_pairs(rng, count):
     """count pairs, alternately a mix_pair with n, m in 1..30 and an
     offset_pair (shifted by up to 1e6)."""

@@ -37,6 +37,7 @@ from wmrline.martingale import COMPETITOR_ALPHAS, _regroup, parse_coupling_csv
 from wmrline.measures import nearest_atom
 
 from conftest import (
+    OFFSET_COUPLING_FAILURES,
     clustered_pair,
     dirac,
     dm,
@@ -373,11 +374,6 @@ def assert_reconstructs(mg, dec, tol=1e-9):
     for iv, idx in dec.components:
         ends = np.concatenate((src[idx], tgt[idx]))
         assert np.all((iv.lo - margin <= ends) & (ends <= iv.hi + margin))
-
-
-# offset draws whose left-curtain coupling misses the MartingaleCoupling
-# barycenter gate, by 1.05 to 4.3 times its tolerance
-OFFSET_COUPLING_FAILURES = {41, 74, 80, 95, 100}
 
 
 class TestDecomposeStress:

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from wmrline import (
     CostSpec,
+    DiscreteMeasure,
     DomainError,
     HypothesisError,
     OrderError,
@@ -13,6 +16,7 @@ from wmrline import (
     mean,
     measures_close,
     run_stability_experiment,
+    solve_weak_transport,
     support_scale,
     truncate_mean_preserving,
     wasserstein,
@@ -21,7 +25,15 @@ from wmrline import (
 from wmrline.measures import level_blocks
 from wmrline.stability import MAP_GAP_EPS, _map_gaps
 
-from conftest import dirac, dm, mix_and_offset_pairs, random_measure, random_ordered_pair
+from conftest import (
+    OFFSET_COUPLING_FAILURES,
+    dirac,
+    dm,
+    mix_and_offset_pairs,
+    offset_pair,
+    random_measure,
+    random_ordered_pair,
+)
 
 
 class TestEtaTransfer:
@@ -63,6 +75,19 @@ class TestEtaTransfer:
                 w1 = wasserstein(nu, nu_k, 1.0)
                 assert np.abs(eta.atoms - out.atoms).max() <= w1 / eta.weights.min() + 1e-9 * s
 
+    def test_wide_offsets(self):
+        """The offset_pair draws k = 0..159 of default_rng(k) (offsets up to
+        1e6), nu shifted by 0.1. With the conditional means summed in absolute
+        coordinates, 39 of them raised ConsistencyError (35 on the convex
+        order of eta_k, 4 on the W_1 chain bound); only the draws whose
+        coupling misses its gate are left out. eta_transfer checks its own
+        order and chain bounds and raises when one fails."""
+        for k in range(160):
+            if k in OFFSET_COUPLING_FAILURES:
+                continue
+            mu, nu = offset_pair(np.random.default_rng(k))
+            eta_transfer(solve_weak_transport(mu, nu).pushforward, nu, nu.shift(0.1))
+
 
 class TestTruncateMeanPreserving:
     def test_single_atom_unchanged(self):
@@ -97,6 +122,19 @@ class TestTruncateMeanPreserving:
             assert out.kept_mass >= 1.0 - eps - 1e-12
             s = support_scale(eta)
             assert abs(mean(out.renormalized) - mean(eta)) <= 1e-12 * s
+
+    def test_scale(self):
+        """n = 10^4 atoms in one prefix-sum pass; the breakpoint scan it
+        replaced was worse than quadratic and took seconds at this size."""
+        rng = np.random.default_rng(13)
+        n = 10_000
+        eta = DiscreteMeasure(np.sort(rng.uniform(-3.0, 3.0, n)), rng.dirichlet(np.ones(n)))
+        start = time.perf_counter()
+        out = truncate_mean_preserving(eta, 0.3)
+        elapsed = time.perf_counter() - start
+        assert elapsed <= 0.25, f"truncation at n = 10^4 took {elapsed:.2f}s"
+        assert out.kept_mass == pytest.approx(0.7, abs=1e-12)
+        assert abs(mean(out.renormalized) - mean(eta)) <= 1e-12 * support_scale(eta)
 
 
 class TestFiniteSupportApprox:
