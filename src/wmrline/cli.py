@@ -235,7 +235,7 @@ def cmd_stability(args, mu, nu):
 # ---------------------------------------------------------------------------
 
 
-def plot_segments(sol, mu) -> list[dict]:
+def plot_segments(sol) -> list[dict]:
     """Split the graph of the map at preimages of irreducible-interval
     endpoints and classify each piece: martingale where the image lies inside
     an irreducible interval of (pushforward, nu), contractive elsewhere."""
@@ -315,7 +315,7 @@ def segments_to_svg(segs, knots_x, knots_t) -> str:
 
 def cmd_plot(args, mu, nu):
     sol = solve_weak_transport(mu, nu, args.cost)
-    segs = plot_segments(sol, mu)
+    segs = plot_segments(sol)
     svg = segments_to_svg(segs, list(sol.map.knots_x), list(sol.map.knots_t))
     out = args.out or "transport_plot.svg"
     with open(out, "w", encoding="utf-8") as fh:

@@ -454,25 +454,14 @@ def pl_max(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> PiecewiseLinearFn:
 def lower_convex_envelope(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> PiecewiseLinearFn:
     """Greatest convex function below both f and g (both convex, slopes -1/+1).
 
-    Computed as the lower hull of the graph points of min(f, g) on the merged
-    breakpoint grid, with sentinel points far enough out that both functions
-    are in their linear tails.
+    The lower hull of min(f, g) on the merged breakpoints: a crossing of f
+    and g is a concave kink of the minimum, so the envelope's vertices are
+    among the breakpoints, and both tails already have slope -1/+1.
     """
     grid = np.union1d(f.breakpoints, g.breakpoints)
-    pad = 1.0 + float(grid[-1] - grid[0])
-    grid = np.concatenate(([grid[0] - pad], grid, [grid[-1] + pad]))
     vals = np.minimum(f(grid), g(grid))
     hull = _lower_hull(grid, vals)
-    hull_x, hull_y = grid[hull], vals[hull]
-    # strip the sentinels; they only fix the +-1 tail slopes
-    keep = slice(1, -1) if hull_x.size > 2 else slice(0, 0)
-    bp, vv = hull_x[keep], hull_y[keep]
-    if bp.size == 0:  # hull collapsed to the two tails meeting in one kink
-        t = 0.5 * (hull_x[0] + hull_x[1])
-        bp = np.array([t])
-        vv = np.array([hull_y[0] - (t - hull_x[0])])
-    bp, vv = _drop_collinear(bp, vv)
-    return PiecewiseLinearFn(bp, vv)
+    return PiecewiseLinearFn(*_drop_collinear(grid[hull], vals[hull]))
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:

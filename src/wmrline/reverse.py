@@ -38,7 +38,7 @@ from .measures import (
     quantiles_at,
     support_scale,
 )
-from .wmr import CostSpec, MonotoneMap, _rearrangement, slope1_violations
+from .wmr import CostSpec, MonotoneMap, _rearrangement, _shape_check, slope1_violations
 
 SHAPE_TOL = 1e-9  # residual_order_check's slack on increase and 1-Lipschitz, times scale
 
@@ -95,8 +95,9 @@ def reverse_optimizer(
 def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> list[Interval]:
     """Postconditions of the reverse construction; returns the irreducible
     intervals of (mu, nu*)."""
-    if not tilde.is_monotone(1e-9 * s) or not tilde.is_one_lipschitz(1e-9 * s):
-        raise ConsistencyError("reverse map is not increasing and 1-Lipschitz")
+    viol = _shape_check(tilde.knots_x, tilde.knots_t, 1e-9 * s)[2]
+    if viol:
+        raise ConsistencyError(f"reverse map is not increasing and 1-Lipschitz: {'; '.join(viol)}")
     try:  # the one convex-order pass: irreducible_components checks mu <=_c nu* first
         comps = irreducible_components(mu, nu_star)
     except OrderError:
@@ -196,10 +197,10 @@ def residual_order_check(
     """
     s = support_scale(eta1, eta2)
     for m, f in ((eta1, T1), (eta2, T2)):
-        vals = f(m.atoms)
-        if np.any(np.diff(vals) < -SHAPE_TOL * s):
+        monotone, lip, _ = _shape_check(m.atoms, f(m.atoms), SHAPE_TOL * s)
+        if not monotone:
             raise PreconditionError("maps must be increasing on the atoms")
-        if np.any(np.diff(vals) > np.diff(m.atoms) + SHAPE_TOL * s):
+        if not lip:
             raise PreconditionError("maps must be 1-Lipschitz on the atoms")
     if not convex_order_leq(eta1, eta2):
         raise PreconditionError("need eta1 <=_c eta2")

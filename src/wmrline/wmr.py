@@ -148,13 +148,6 @@ class MonotoneMap:
         y = np.asarray(y, dtype=float)
         return np.interp(y.reshape(1) if y.ndim == 0 else y, self.knots_x, self.knots_t)
 
-    def is_monotone(self, tol: float) -> bool:
-        return bool((self.knots_t[1:] - self.knots_t[:-1] >= -tol).all())
-
-    def is_one_lipschitz(self, tol: float) -> bool:
-        x, t = self.knots_x, self.knots_t
-        return bool((t[1:] - t[:-1] <= x[1:] - x[:-1] + tol).all())
-
     def push(self, m: DiscreteMeasure) -> DiscreteMeasure:
         return pushforward(m, self(m.atoms))
 
@@ -268,7 +261,8 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     stay apart), and t is x plus its pool's mean: a ratio of sums over the
     pool, so no rounding of global sums is divided by a tiny width. An atom
     with no block (its weight lost to the rounding of the levels) joins the
-    pool before it.
+    pool before it and is capped at the next atom's value, so t stays
+    increasing and its displacement nonincreasing.
     """
     x, y = mu.atoms, nu.atoms
     i, j, width = level_blocks(mu, nu)
@@ -277,8 +271,9 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     tol = 1e-12 * support_scale(mu, nu)
     if -slack.min() <= tol and abs(slack[-1]) <= tol:
         return x, slack, False
+    den = np.bincount(i, weights=width, minlength=mu.n).tolist()
     sums, mass, size = [], [], []
-    for a, w in zip(num.tolist(), np.bincount(i, weights=width, minlength=mu.n).tolist()):
+    for a, w in zip(num.tolist(), den):
         k = 1
         while sums and (w == 0.0 or sums[-1] * w < a * mass[-1]):
             a, w, k = a + sums.pop(), w + mass.pop(), k + size.pop()
@@ -286,6 +281,9 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
         mass.append(w)
         size.append(k)
     t = x + (np.array(sums) / np.array(mass)).repeat(size)
+    if 0.0 in den:  # the last atom needs no cap
+        for k in np.flatnonzero(np.equal(den[:-1], 0.0))[::-1].tolist():
+            t[k] = min(t[k], t[k + 1])
     return t, _level_slack(i, j, width, t, y), True
 
 
@@ -341,6 +339,23 @@ def value(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec | None = None
 # ---------------------------------------------------------------------------
 
 
+def _shape_check(x: np.ndarray, t: np.ndarray, tol: float) -> tuple[bool, bool, list[str]]:
+    """(monotone, one_lipschitz, violations) of the values t at the sorted
+    points x: t increasing and 1-Lipschitz up to the absolute tol, with the
+    worst pair named for each property that fails."""
+    dt, dx = t[1:] - t[:-1], x[1:] - x[:-1]
+    viol = []
+    monotone = bool((dt >= -tol).all())
+    if not monotone:
+        i = int(dt.argmin())
+        viol.append(f"decreasing between atoms {x[i]} and {x[i + 1]}")
+    lip = bool((dt <= dx + tol).all())
+    if not lip:
+        i = int((dt - dx).argmax())
+        viol.append(f"expansion by {dt[i] - dx[i]:.3e} between atoms {x[i]} and {x[i + 1]}")
+    return monotone, lip, viol
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     ok: bool
@@ -355,19 +370,9 @@ def verify_admissible(
 ) -> AdmissibilityReport:
     """Check the three admissibility properties of a map on the atoms of mu:
     increasing, 1-Lipschitz, and pushforward below nu in convex order."""
-    s = support_scale(mu, nu)
     x = mu.atoms
     t = map_(x)
-    viol = []
-    dt, dx = t[1:] - t[:-1], x[1:] - x[:-1]
-    monotone = bool((dt >= -tol * s).all())
-    if not monotone:
-        i = int(dt.argmin())
-        viol.append(f"decreasing between atoms {x[i]} and {x[i + 1]}")
-    lip = bool((dt <= dx + tol * s).all())
-    if not lip:
-        i = int((dt - dx).argmax())
-        viol.append(f"expansion by {dt[i] - dx[i]:.3e} between atoms {x[i]} and {x[i + 1]}")
+    monotone, lip, viol = _shape_check(x, t, tol * support_scale(mu, nu))
     push, order_tol = pushforward(mu, t), max(ORDER_TOL, tol)
     ordered = convex_order_leq(push, nu, order_tol)
     if not ordered:
@@ -446,10 +451,11 @@ def map_decomposition(map_: MonotoneMap):
 def smooth_strictify(map_: MonotoneMap, eps: float) -> MonotoneMap:
     """Strictly increasing perturbation within eps in sup norm.
 
-    On the k-th maximal flat knot run (constant values, x-extent lambda_k) the
-    constant rate min(eps / (lambda_k * 2^k), 1) is integrated from the left,
-    so flat runs become strictly increasing while every non-flat segment, in
-    particular each unit-slope segment, keeps its slope.
+    On each of the R maximal flat knot runs (constant values, x-extent
+    lambda_k) the constant rate min(eps / (2 R lambda_k), 1) is integrated
+    from the left, so the total shift is at most eps / 2, flat runs become
+    strictly increasing and every non-flat segment, in particular each
+    unit-slope segment, keeps its slope.
     """
     if not eps > 0.0:
         raise DomainError("eps must be positive")
@@ -462,7 +468,7 @@ def smooth_strictify(map_: MonotoneMap, eps: float) -> MonotoneMap:
     edge = np.diff(flat.astype(np.int8), prepend=0, append=0)
     starts = edge == 1
     lo, hi = x[starts], x[edge == -1]
-    rate = np.minimum(eps / ((hi - lo) * 2.0 ** np.arange(1, lo.size + 1)), 1.0)
+    rate = np.minimum(eps / (2 * lo.size * (hi - lo)), 1.0)
     run = starts[:-1].cumsum() - 1  # the run of each flat segment
     inc = np.zeros_like(t)
     inc[1:][flat] = rate[run[flat]] * (x[1:] - x[:-1])[flat]

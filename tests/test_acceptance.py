@@ -347,7 +347,7 @@ def test_criterion_10_cli(tmp_path):
     mu = read_measure_csv(mu_p)
     nu = read_measure_csv(nu_p)
     sol = solve_weak_transport(mu, nu)
-    segs = plot_segments(sol, mu)
+    segs = plot_segments(sol)
     mart = [s for s in segs if s["class"].startswith("martingale")]
     assert len(mart) == 2 == len(sol.irreducibles)
     slope1, _ = map_decomposition(sol.map)

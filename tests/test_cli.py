@@ -280,7 +280,7 @@ class TestPlotPartition:
         mu = read_measure_csv(measure_files["outer"])
         nu = read_measure_csv(measure_files["b4"])
         sol = solve_weak_transport(mu, nu)
-        segs = plot_segments(sol, mu)
+        segs = plot_segments(sol)
         mart = [s for s in segs if s["class"].startswith("martingale")]
         assert len(mart) == 2
         assert len({s["class"] for s in mart}) == 2  # two distinct regions
@@ -319,7 +319,7 @@ class TestPlotPartition:
             else:
                 mu, nu = clustered_pair(rng)
             sol = solve_weak_transport(mu, nu)
-            assert plot_segments(sol, mu) == _plot_segments_loop(sol), k
+            assert plot_segments(sol) == _plot_segments_loop(sol), k
 
 
 def _plot_segments_loop(sol):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wmrline import (
+    ConsistencyError,
     CostSpec,
     MonotoneMap,
     PreconditionError,
@@ -31,7 +32,8 @@ from conftest import (
     random_ordered_pair,
     spread_pair,
 )
-from wmrline.measures import quantiles_at
+from wmrline.measures import PiecewiseLinearFn, _drop_collinear, _lower_hull, quantiles_at
+from wmrline.reverse import _verify_reverse
 
 
 class TestReverseOptimizer:
@@ -101,6 +103,18 @@ class TestReverseOptimizer:
                 checked += 1
                 assert convex_order_leq(r.nu_star, eta)
         assert checked > 50
+
+
+class TestReverseShapeCheck:
+    def test_failure_names_the_worst_pair(self):
+        # the shape of the reverse map is checked before any other argument is read
+        tilde = MonotoneMap(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.5, 0.4]))
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^reverse map is not increasing and 1-Lipschitz: "
+            r"decreasing between atoms 1\.0 and 2\.0$",
+        ):
+            _verify_reverse(None, None, None, tilde, None, None, None, None, 1.0)
 
 
 class TestReverseClosedForm:
@@ -320,3 +334,28 @@ class TestPotentialArithmetic:
             assert np.all(
                 e(kinks) >= np.minimum(f(kinks), g(kinks)) - 1e-9
             )
+
+    def test_envelope_matches_the_padded_hull(self, rng):
+        for k in range(500):
+            a, b = mix_pair(rng, int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+            if k % 2:  # equal means
+                b = b.shift(mean(a) - mean(b))
+            f, g = potential(a), potential(b)
+            e, ref = lower_convex_envelope(f, g), _padded_envelope(f, g)
+            pts = np.concatenate((e.breakpoints, ref.breakpoints, f.breakpoints, g.breakpoints))
+            pts = np.append(pts, (pts.min() - 1.0, pts.max() + 1.0))
+            assert np.abs(e(pts) - ref(pts)).max() <= 1e-12 * support_scale(a, b)
+
+
+def _padded_envelope(f, g):
+    """The lower hull of min(f, g) on the merged breakpoints padded by one
+    sentinel on each side, far enough out that both functions are in their
+    linear tails, with the sentinels stripped afterwards; kept as the
+    reference of lower_convex_envelope."""
+    grid = np.union1d(f.breakpoints, g.breakpoints)
+    pad = 1.0 + float(grid[-1] - grid[0])
+    grid = np.concatenate(([grid[0] - pad], grid, [grid[-1] + pad]))
+    vals = np.minimum(f(grid), g(grid))
+    hull = _lower_hull(grid, vals)
+    bp, vv = grid[hull][1:-1], vals[hull][1:-1]
+    return PiecewiseLinearFn(*_drop_collinear(bp, vv))

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -361,8 +362,8 @@ class TestSmoothStrictify:
                 k = int(rng.integers(1, atoms.size))
                 vals[k:] = vals[k - 1]
             m = MonotoneMap(atoms, vals)
-            # keep eps below min(lambda_k 2^k): at the rate cap a flat run picks
-            # up slope exactly 1 and the decomposition gains an interval
+            # keep eps below 2 R lambda_k (R flat runs): at the rate cap a flat
+            # run picks up slope exactly 1 and the decomposition gains an interval
             flat = np.abs(np.diff(vals)) <= 1e-12
             shortest = float(np.diff(atoms)[flat].min()) if np.any(flat) else 1.0
             eps = float(rng.uniform(0.1, 0.9)) * min(2.0 * shortest, 1.0)
@@ -376,6 +377,17 @@ class TestSmoothStrictify:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(DomainError):
             smooth_strictify(MonotoneMap.identity(np.array([0.0, 1.0])), 0.0)
+
+    @pytest.mark.parametrize("n", [60, 1000, 2000])
+    def test_many_flat_runs_become_strict(self, n):
+        # t constant on each run of three knots: a rate of eps / (lambda_k 2^k)
+        # fell below the ulp from the 43rd run on and overflowed past run 1023
+        x, t = np.arange(3.0 * n), np.repeat(np.arange(float(n)), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = smooth_strictify(MonotoneMap(x, t), 0.1)
+        assert np.all(np.diff(out.knots_t) > 0)
+        assert np.abs(out.knots_t - t).max() <= 0.1
 
 
 def _assert_certified(mu, nu, cost=None):
@@ -477,6 +489,35 @@ class TestPooledRegression:
         mu = dm(np.sort(rng.uniform(-3.0, 3.0, n)), p / p.sum())
         nu = dm(np.sort(rng.uniform(-2.0, 2.0, m)), q / q.sum())
         _assert_certified(mu, nu)
+
+
+class TestSubUlpWeights:
+    """A mu weight below the rounding of the cumulative sum before it has no
+    block in level_blocks; its atom joins the pool before it, capped at the
+    next atom's value. reverse_optimizer still raises on such atoms, so the
+    solve is checked on its own."""
+
+    @staticmethod
+    def _certified(mu, nu):
+        sol = solve_weak_transport(mu, nu)
+        assert sol.kkt_residual <= 1e-8 * support_scale(mu, nu)
+        assert verify_admissible(sol.map, mu, nu).ok
+        return sol
+
+    def test_atom_between_two_halves(self):
+        mu = dm([0.0, 1.0, 2.0], [0.5, 1e-18, 0.5])
+        sol = self._certified(mu, dm([0.8, 1.2]))
+        assert np.array_equal(sol.map.knots_t, [0.8, 1.2, 1.2])
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            n, m = int(rng.integers(3, 41)), int(rng.integers(1, 41))
+            x, y = np.sort(rng.uniform(-3.0, 3.0, n)), np.sort(rng.uniform(-2.0, 2.0, m))
+            p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            light = rng.choice(n, int(rng.integers(1, 4)), replace=False)
+            p[light] = 10.0 ** rng.uniform(-20.0, -17.0, light.size)
+            self._certified(dm(x, p / p.sum()), dm(y, q / q.sum()))
 
 
 class TestCertificate:
