@@ -113,11 +113,12 @@ class MartingaleCoupling(Coupling):
         _gate(gap, BARYCENTER_TOL * s, "martingale barycenter violated at source atom")
 
 
-def _gate(gap: np.ndarray, tol: float, what: str) -> None:
-    """Raise CouplingError naming the worst index of gap when it exceeds tol."""
+def _gate(gap: np.ndarray, tol: float, what: str, error: type = CouplingError) -> None:
+    """Raise error (CouplingError by default) naming the worst index of gap
+    when it exceeds tol."""
     k = int(gap.argmax())
     if gap[k] > tol:
-        raise CouplingError(f"{what} {k}: off by {gap[k]:.3e} (tol {tol:.3e})")
+        raise error(f"{what} {k}: off by {gap[k]:.3e} (tol {tol:.3e})")
 
 
 def build_martingale_coupling(eta: DiscreteMeasure, nu: DiscreteMeasure) -> MartingaleCoupling:
@@ -252,11 +253,14 @@ def compose_with_map(mu: DiscreteMeasure, map_: MonotoneMap, mg: Coupling) -> Co
     images = map_(mu.atoms)
     s = support_scale(mu, mg.source)
     pos = nearest_atom(mg.source.atoms, images)
-    if np.abs(mg.source.atoms[pos] - images).max() > 1e-9 * s:
-        raise CompositionError("mg.source does not match the pushforward of mu under the map")
+    _gate(
+        np.abs(mg.source.atoms[pos] - images),
+        1e-9 * s,
+        "mg.source does not match the pushforward of mu under the map at mu's atom",
+        CompositionError,
+    )
     got = np.bincount(pos, weights=mu.weights, minlength=mg.source.n)
-    if np.abs(got - mg.source.weights).max() > 1e-9:
-        raise CompositionError("pushforward weights do not match mg.source")
+    _gate(np.abs(got - mg.source.weights), 1e-9, "pushforward weights do not match mg.source at atom", CompositionError)
 
     # mg's entries are sorted by row, so image row pos[i] is the run of
     # count[i] entries from start[i]

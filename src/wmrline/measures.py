@@ -3,6 +3,19 @@
 Provides the order-theoretic toolkit used everywhere else: quantile
 evaluation, potential functions u(y) = int |x-y| dm, the convex order,
 irreducible intervals, Wasserstein distances and barycentric coarsening.
+
+The convex order is decided in quantile coordinates, with no potential
+evaluated. With F a measure's distribution function, C(y) = int_{-inf}^y F
+is the Legendre conjugate of the quantile integral G(c) = int_0^c F^{-1} on
+[0, 1], and u(y) = 2 C(y) - y + mean. Hence
+
+    sup_y (u_a - u_b)(y) = S(1) - 2 min_c S(c),   S = G_a - G_b,
+
+attained at b's quantile at the minimising level, and S(1) is the mean gap.
+S is linear minus convex, hence concave, between a's cumulative levels, so
+its minimum sits at one of them: the order slack at a's levels, formed in
+one O(n + m) pass over level_blocks(a, b), gives the verdict, its witness
+and the irreducible intervals.
 """
 
 from __future__ import annotations
@@ -129,13 +142,23 @@ def support_scale(*measures: DiscreteMeasure) -> float:
 
 def measures_close(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = 1e-9) -> bool:
     """Equality of measures up to atom positions within tol*scale and weights within tol."""
+    return _mismatch(a, b, tol) is None
+
+
+def _mismatch(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = 1e-9) -> str | None:
+    """Why measures_close(a, b, tol) fails, or None when it holds: the atom
+    counts, or the worst atom position or weight and its margin."""
     if a.n != b.n:
-        return False
+        return f"{a.n} atoms against {b.n}"
     s = support_scale(a, b)
-    return bool(
-        np.all(np.abs(a.atoms - b.atoms) <= tol * s)
-        and np.all(np.abs(a.weights - b.weights) <= tol)
-    )
+    for what, gap, thr in (
+        ("position", np.abs(a.atoms - b.atoms), tol * s),
+        ("weight", np.abs(a.weights - b.weights), tol),
+    ):
+        k = int(gap.argmax())
+        if gap[k] > thr:
+            return f"{what} of atom {k} off by {gap[k]:.3e} (tol {thr:.3e})"
+    return None
 
 
 def mean(m: DiscreteMeasure) -> float:
@@ -258,12 +281,8 @@ def potential(m: DiscreteMeasure) -> PiecewiseLinearFn:
 
 
 def convex_order_leq(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_TOL) -> bool:
-    """True iff a <=_c b: equal means and u_a <= u_b everywhere.
-
-    Checking u_a <= u_b at the atoms of b suffices: the difference of the two
-    piecewise-linear potentials has local maxima only at downward kinks, which
-    sit at b's atoms, and equal means pin the behaviour at infinity.
-    """
+    """True iff a <=_c b: equal means and u_a <= u_b everywhere, both to
+    tol * scale, decided on the order slack (module docstring)."""
     return _order_witness(a, b, tol) is None
 
 
@@ -271,25 +290,43 @@ def _order_witness(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_TO
     """Why a <=_c b fails at tol * scale, or None when it holds: the two
     means when they differ, else the index and position of b's atom where
     u_a - u_b is largest, and that excess."""
-    s = support_scale(a, b)
-    if abs(mean(a) - mean(b)) > tol * s:
-        return {"kind": "mean_mismatch", "mean_a": mean(a), "mean_b": mean(b)}
-    gap = potential_at(a, b.atoms) - potential_at(b, b.atoms)
-    j = int(gap.argmax())
-    if gap[j] <= tol * s:
-        return None
-    return {"kind": "potential_violation", "index": j, "atom": float(b.atoms[j]),
-            "excess": float(gap[j])}
+    return _order_check(a, b, tol * support_scale(a, b))[0]
+
+
+def _order_check(a: DiscreteMeasure, b: DiscreteMeasure, thr: float):
+    """(witness, slack) of a <=_c b at the absolute tolerance thr.
+
+    The means are compared first, by two dot products; slack is None on a
+    mismatch. Otherwise slack is _order_slack(a, b, a.atoms), and the excess
+    sup (u_a - u_b) = slack_n - 2 min slack (module docstring) sits at b's
+    left-continuous quantile at the first minimising level, the lowest of
+    b's atoms where the supremum is reached.
+    """
+    ma, mb = mean(a), mean(b)
+    if abs(ma - mb) > thr:
+        return {"kind": "mean_mismatch", "mean_a": ma, "mean_b": mb}, None
+    slack = _order_slack(a, b, a.atoms)
+    k = int(slack.argmin())
+    excess = float(slack[-1] - 2.0 * slack[k])
+    if excess <= thr:
+        return None, slack
+    j = int(b.cumulative().searchsorted(a.cumulative()[k - 1] if k else 0.0))
+    return {"kind": "potential_violation", "index": j, "atom": float(b.atoms[j]), "excess": excess}, slack
 
 
 def _order_failure(a, b, na: str, nb: str, tol: float = ORDER_TOL) -> str:
     """The witness of a failed a <=_c b in words, calling a and b na and nb."""
-    w = _order_witness(a, b, tol)
+    return _witness_words(_order_witness(a, b, tol), na, nb, tol * support_scale(a, b))
+
+
+def _witness_words(w: dict, na: str, nb: str, thr: float) -> str:
+    """A convex-order witness (_order_check) in words, against the absolute
+    tolerance thr."""
     if w["kind"] == "mean_mismatch":
         why = f"mean({na}) - mean({nb}) = {w['mean_a'] - w['mean_b']:.3e}"
     else:
         why = f"u_{na} - u_{nb} = {w['excess']:.3e} at {nb}'s atom {w['index']} ({w['atom']!r})"
-    return f"{na} <=_c {nb} fails: {why}, above tol {tol * support_scale(a, b):.3e}"
+    return f"{na} <=_c {nb} fails: {why}, above tol {thr:.3e}"
 
 
 @dataclass(frozen=True)
@@ -314,9 +351,10 @@ def _order_slack(mu: DiscreteMeasure, nu: DiscreteMeasure, t: np.ndarray) -> np.
     level_blocks(mu, nu) (_level_slack), so each term is a difference of two
     atoms and wide offsets cancel before the partial sums are formed.
 
-    t(mu) <=_c nu iff slack_k >= 0 for k < n and slack_n = 0 (equal means).
-    Between two levels the slack is linear minus convex, hence concave, so
-    nu's levels need no rows of their own.
+    For nondecreasing t, t(mu) <=_c nu iff slack_k >= 0 for k < n and
+    slack_n = 0 (equal means). Between two levels the slack is linear minus
+    convex, hence concave, so nu's levels need no rows of their own; the
+    module docstring gives its duality with the potentials.
     """
     return _level_slack(*level_blocks(mu, nu), t, nu.atoms)
 
@@ -326,15 +364,16 @@ def irreducible_components(a: DiscreteMeasure, b: DiscreteMeasure) -> list[Inter
 
     Read off the order slack of a at its cumulative levels (_order_slack with
     a's own atoms); see _slack_components. Every endpoint is an atom of b.
-    Raises OrderError when the convex-order precondition fails (checked at
-    ORDER_TOL); levels where the slack is at most ORDER_TOL * scale count as
-    contacts.
+    The same slack decides the convex-order precondition (at ORDER_TOL, as
+    convex_order_leq does), and OrderError names its witness when it fails;
+    levels where the slack is at most ORDER_TOL * scale count as contacts.
     """
-    if not convex_order_leq(a, b):
-        raise OrderError(f"irreducible components: {_order_failure(a, b, 'a', 'b')}")
+    thr = ORDER_TOL * support_scale(a, b)
+    witness, slack = _order_check(a, b, thr)
+    if witness is not None:
+        raise OrderError(f"irreducible components: {_witness_words(witness, 'a', 'b', thr)}")
     levels = np.concatenate(([0.0], a.cumulative()))
-    slack = _order_slack(a, b, a.atoms)
-    return _slack_components(levels, slack, b, ORDER_TOL * support_scale(a, b))
+    return _slack_components(levels, slack, b, thr)
 
 
 def _slack_components(levels, slack, b: DiscreteMeasure, thr: float) -> list[Interval]:
@@ -425,7 +464,7 @@ def _bin_barycenters(m: DiscreteMeasure, idx: np.ndarray) -> DiscreteMeasure:
 
 def pushforward(m: DiscreteMeasure, values) -> DiscreteMeasure:
     """Image measure of m under the map atom_i -> values_i (duplicates merged)."""
-    values = _as_1d(values)
+    values = np.atleast_1d(np.asarray(values, dtype=float))  # validated by the constructor
     if values.shape != m.atoms.shape:
         raise ValueError("need one image per atom")
     return DiscreteMeasure(values, m.weights)

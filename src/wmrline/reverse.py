@@ -24,6 +24,7 @@ from .measures import (
     ORDER_TOL,
     DiscreteMeasure,
     Interval,
+    _mismatch,
     _order_failure,
     convex_order_leq,
     irreducible_components,
@@ -102,8 +103,9 @@ def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> list[Int
         comps = irreducible_components(mu, nu_star)
     except OrderError:
         raise ConsistencyError(f"reverse solution: {_order_failure(mu, nu_star, 'mu', 'nu*')}") from None
-    if not measures_close(DiscreteMeasure(images, wts), nu, 1e-9):
-        raise ConsistencyError("reverse map does not push nu* onto nu")
+    why = _mismatch(DiscreteMeasure(images, wts), nu, 1e-9)
+    if why is not None:
+        raise ConsistencyError(f"reverse map does not push nu* onto nu: {why}")
     direct = float(np.dot(mu.weights, cost.value(mu.atoms - t)))
     through = float(np.dot(wts, cost.value(nu_star.atoms - images)))
     if abs(direct - through) > 1e-9 * max(1.0, s) * max(1.0, abs(direct)):

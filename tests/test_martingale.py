@@ -294,8 +294,20 @@ class TestComposeWithMap:
         from wmrline import CompositionError
 
         mu = dm([-2, 2])
-        with pytest.raises(CompositionError):
+        want = (
+            r"^mg\.source does not match the pushforward of mu under the map at mu's atom 0: "
+            r"off by 1\.000e\+00 \(tol 4\.000e-09\)$"
+        )
+        with pytest.raises(CompositionError, match=want):
             compose_with_map(mu, MonotoneMap.identity(mu.atoms), identity_coupling(dm([-1, 1])))
+
+    def test_weight_mismatch_names_the_worst_atom(self):
+        from wmrline import CompositionError
+
+        mu = dm([-1, 0, 1], [0.2, 0.5, 0.3])
+        want = r"^pushforward weights do not match mg\.source at atom 1: off by 1\.667e-01 \(tol 1\.000e-09\)$"
+        with pytest.raises(CompositionError, match=want):
+            compose_with_map(mu, MonotoneMap.identity(mu.atoms), identity_coupling(dm([-1, 0, 1])))
 
     def test_marginals_exact(self, rng):
         for _ in range(25):

@@ -4,6 +4,7 @@ import pytest
 from wmrline import (
     DiscreteMeasure,
     DomainError,
+    MonotoneMap,
     OrderError,
     convex_order_leq,
     irreducible_components,
@@ -16,15 +17,18 @@ from wmrline import (
     quantize,
     read_measure_csv,
     support_scale,
+    verify_admissible,
     wasserstein,
     weak_monotone_rearrangement,
     write_measure_csv,
 )
+from wmrline import measures
 from wmrline.measures import (
     MERGE_TOL,
     ORDER_TOL,
     _merge_close,
     _order_slack,
+    _order_witness,
     level_blocks,
     lowest_mass,
     parse_measure_csv,
@@ -35,6 +39,7 @@ from conftest import (
     dirac,
     dm,
     four_family_pairs,
+    identity_map,
     mix_and_offset_pairs,
     mix_pair,
     offset_pair,
@@ -224,6 +229,90 @@ class TestConvexOrder:
                 and abs(mean(a) - mean(b)) <= 1e-9 * s
             )
             assert convex_order_leq(a, b) == hinge_ok
+
+
+def potential_scan_witness(a, b, tol=ORDER_TOL):
+    """_order_witness's verdict from the potentials at b's atoms, where the
+    local maxima of u_a - u_b sit: the mean check, then the first b atom of
+    largest excess."""
+    s = support_scale(a, b)
+    if abs(mean(a) - mean(b)) > tol * s:
+        return {"kind": "mean_mismatch", "mean_a": mean(a), "mean_b": mean(b)}
+    gap = potential_at(a, b.atoms) - potential_at(b, b.atoms)
+    j = int(gap.argmax())
+    if gap[j] <= tol * s:
+        return None
+    return {"kind": "potential_violation", "index": j, "atom": float(b.atoms[j]), "excess": float(gap[j])}
+
+
+class TestOrderWitness:
+    def test_agrees_with_the_potential_scan(self):
+        # four_family_pairs as drawn (mostly unequal means) and with nu
+        # shifted to mu's mean (equal means, many violations), both orders
+        rng = np.random.default_rng(15)
+        violations = 0
+        for k, (mu, nu) in enumerate(four_family_pairs(rng, 300)):
+            shifted = nu.shift(mean(mu) - mean(nu))
+            for a, b in ((mu, nu), (nu, mu), (mu, shifted), (shifted, mu)):
+                got, want = _order_witness(a, b), potential_scan_witness(a, b)
+                assert (got is None) == (want is None), k
+                if got is None:
+                    continue
+                assert got["kind"] == want["kind"], k
+                if got["kind"] == "potential_violation":
+                    violations += 1
+                    assert got["index"] == want["index"], k
+                    assert got["atom"] == want["atom"], k
+                    assert abs(got["excess"] - want["excess"]) <= 1e-10 * support_scale(a, b), k
+        assert violations > 300
+
+    def test_minimising_level_is_one_of_bs_levels(self):
+        # the slack of a = {-1, 1} against b = {-1/2, 1/2} is smallest at the
+        # level 1/2, where b's quantile jumps; u_a - u_b = 1/2 at both of b's
+        # atoms, and the witness is the lower one, as the scan's first argmax
+        a, b = dm([-1, 1]), dm([-0.5, 0.5])
+        want = {"kind": "potential_violation", "index": 0, "atom": -0.5, "excess": 0.5}
+        assert (potential_at(a, b.atoms) - potential_at(b, b.atoms)).tolist() == [0.5, 0.5]
+        assert _order_witness(a, b) == want == potential_scan_witness(a, b)
+
+    def test_order_tests_evaluate_no_potential(self, monkeypatch):
+        mu, nu = spread_pair(np.random.default_rng(3), 40)
+        sol = weak_monotone_rearrangement(nu, mu)
+
+        def refuse(*args):
+            raise AssertionError("an order test evaluated a potential")
+
+        monkeypatch.setattr(measures, "potential_at", refuse)
+        assert convex_order_leq(mu, nu) and not convex_order_leq(nu, mu)
+        assert irreducible_components(mu, nu)
+        with pytest.raises(OrderError):
+            irreducible_components(nu, mu)
+        assert verify_admissible(identity_map(mu), mu, nu).ok
+        assert verify_admissible(sol.map, nu, mu).ok
+        assert not verify_admissible(identity_map(nu), nu, mu).pushforward_ordered
+        flipped = MonotoneMap(mu.atoms, mu.atoms[::-1])
+        report = verify_admissible(flipped, mu, nu)
+        assert not report.monotone
+        assert report.pushforward_ordered == convex_order_leq(flipped.push(mu), nu, 1e-7)
+
+    def test_one_level_pass_per_irreducible_call(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return level_blocks(a, b)
+
+        monkeypatch.setattr(measures, "level_blocks", counted)
+        mu, nu = spread_pair(np.random.default_rng(4), 40)
+        irreducible_components(mu, nu)
+        assert len(calls) == 1
+        with pytest.raises(OrderError):
+            irreducible_components(nu, mu)
+        assert len(calls) == 2
+        with pytest.raises(OrderError, match="mean"):
+            irreducible_components(mu, nu.shift(0.5))
+        assert not convex_order_leq(mu, nu.shift(0.5))
+        assert len(calls) == 2
 
 
 class TestIrreducibleComponents:

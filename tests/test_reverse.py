@@ -117,6 +117,30 @@ class TestReverseShapeCheck:
             _verify_reverse(None, None, None, tilde, None, None, None, None, 1.0)
 
 
+class TestReversePushCheck:
+    def test_failure_names_the_worst_atom(self):
+        # shape and order pass (nu* = mu); the images put mass at 1 where nu has 1.5
+        mu, nu = dm([0.0, 1.0]), dm([0.0, 1.5])
+        tilde = MonotoneMap.identity(mu.atoms)
+        args = (mu, nu, mu, tilde)
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^reverse map does not push nu\* onto nu: "
+            r"position of atom 1 off by 5\.000e-01 \(tol 1\.500e-09\)$",
+        ):
+            _verify_reverse(*args, mu.atoms, mu.weights, None, None, 1.0)
+        with pytest.raises(
+            ConsistencyError, match=r"^reverse map does not push nu\* onto nu: 1 atoms against 2$"
+        ):
+            _verify_reverse(*args, np.array([0.75, 0.75]), mu.weights, None, None, 1.0)
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^reverse map does not push nu\* onto nu: "
+            r"weight of atom 0 off by 2\.500e-01 \(tol 1\.000e-09\)$",
+        ):
+            _verify_reverse(mu, dm([0.0, 1.0]), mu, tilde, mu.atoms, np.array([0.25, 0.75]), None, None, 1.0)
+
+
 class TestReverseClosedForm:
     def test_nu_star_is_the_shifted_quantile(self):
         # nu* is the law of F_nu^{-1}(U) + d(F_mu^{-1}(U)), d = x - T(x), and
