@@ -5,16 +5,18 @@ solver, the reverse problem, coupling composition, stability ladders, and a
 Figure-style SVG of the transport map partitioned into martingale and
 contractive regions. All numeric output uses fixed scientific notation with
 17 significant digits so identical inputs give byte-identical files.
+Handlers import the couplings, the reverse and the stability ladders
+themselves, so each subcommand loads only the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 import numpy as np
 
-from . import martingale, reverse, stability
 from .errors import WmrError
 from .measures import (
     _order_witness,
@@ -49,8 +51,10 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}  {render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        body = _float_lines(obj, pad + "  ")
+        if body is None:
+            body = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
+        return "[\n" + body + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -62,18 +66,42 @@ def render_json(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _floats(values) -> bool:
+    """Every value is a float (numpy's float64 is one), so "%.16e" writes fmt's text."""
+    return all(issubclass(t, float) for t in set(map(type, values)))
+
+
+def _float_lines(items, pad: str) -> str | None:
+    """render_json's lines for a list of floats, or of equal-length lists of
+    floats, filled into one "%.16e" template (the text of fmt); None for any
+    other list."""
+    if _floats(items):
+        return ",\n".join([pad + "%.16e"] * len(items)) % tuple(items)
+    if not all(issubclass(t, (list, tuple)) for t in set(map(type, items))):
+        return None
+    widths = set(map(len, items))
+    values = tuple(chain.from_iterable(items))
+    if len(widths) != 1 or not values or not _floats(values):
+        return None
+    row = pad + "[\n" + ",\n".join([pad + "  %.16e"] * widths.pop()) + "\n" + pad + "]"
+    return ",\n".join([row] * len(items)) % values
+
+
 def _measure_doc(m) -> dict:
-    return {"atoms": [float(a) for a in m.atoms], "weights": [float(w) for w in m.weights]}
+    return {"atoms": m.atoms.tolist(), "weights": m.weights.tolist()}
 
 
 def _knots_doc(map_) -> list:
-    return [[float(a), float(b)] for a, b in zip(map_.knots_x, map_.knots_t)]
+    return np.column_stack((map_.knots_x, map_.knots_t)).tolist()
 
 
 def _csv(header: str, rows) -> str:
-    """The header line, then one line per row: numbers in fmt, text as is."""
-    lines = [",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows]
-    return "\n".join([header, *lines]) + "\n"
+    """The header line, then one line per row: numbers in fmt, text as is.
+    Every row has the first row's shape, so one template ("%.16e" is the
+    text of fmt) writes them all."""
+    rows = [tuple(row) for row in rows]
+    line = ",".join("%s" if isinstance(v, str) else "%.16e" for row in rows[:1] for v in row)
+    return header + ("\n" + line) * len(rows) % tuple(chain.from_iterable(rows)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +157,7 @@ def cmd_wmr(args, mu, nu):
         "kkt_residual": float(sol.kkt_residual),
     }
     if args.verify:
+        from . import martingale
         # the slope-1 report includes the admissibility check and its violations
         slope = verify_slope1_characterization(sol, mu, nu, args.tol)
         mg = martingale.build_martingale_coupling(sol.pushforward, nu)
@@ -155,6 +184,7 @@ def cmd_value(args, mu, nu):
 
 
 def cmd_reverse(args, mu, nu):
+    from . import reverse
     rsol = reverse.reverse_optimizer(mu, nu, args.cost)
     return {
         "schema": 1,
@@ -168,6 +198,7 @@ def cmd_reverse(args, mu, nu):
 
 
 def cmd_compose(args, mu, nu):
+    from . import martingale
     sol = solve_weak_transport(mu, nu, args.cost)
     mg = martingale.build_martingale_coupling(sol.pushforward, nu)
     pi = martingale.compose_with_map(mu, sol.map, mg)
@@ -176,10 +207,7 @@ def cmd_compose(args, mu, nu):
     doc = {
         "schema": 1,
         "kind": "coupling",
-        "entries": [
-            [float(mu.atoms[r]), float(nu.atoms[c]), float(m)]
-            for r, c, m in zip(pi.rows, pi.cols, pi.mass)
-        ],
+        "entries": np.column_stack((mu.atoms[pi.rows], nu.atoms[pi.cols], pi.mass)).tolist(),
         "cost": args.cost.describe(),
         "barycentric_cost": pi.cost(args.cost),
     }
@@ -193,6 +221,7 @@ def cmd_compose(args, mu, nu):
 
 
 def cmd_stability(args, mu, nu):
+    from . import stability
     ladder = stability.PerturbationLadder(
         mu,
         nu,

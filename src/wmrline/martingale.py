@@ -232,17 +232,6 @@ def build_martingale_coupling(eta: DiscreteMeasure, nu: DiscreteMeasure) -> Mart
     return MartingaleCoupling(eta, nu, rows, cols, mass)
 
 
-def identity_coupling(m: DiscreteMeasure) -> MartingaleCoupling:
-    idx = np.arange(m.n)
-    return MartingaleCoupling(m, m, idx, idx, m.weights.copy())
-
-
-def product_coupling(a: DiscreteMeasure, b: DiscreteMeasure) -> Coupling:
-    rows = np.repeat(np.arange(a.n), b.n)
-    cols = np.tile(np.arange(b.n), a.n)
-    return Coupling(a, b, rows, cols, np.outer(a.weights, b.weights).ravel())
-
-
 def compose_with_map(mu: DiscreteMeasure, map_: MonotoneMap, mg: Coupling) -> Coupling:
     """Concatenate the deterministic transport x -> map(x) with mg.
 
@@ -328,15 +317,6 @@ def decompose_martingale(mg: MartingaleCoupling) -> MartingaleDecomposition:
         components=tuple(zip(comps, entries)),
         fixed=fixed.nonzero()[0],
     )
-
-
-def barycenter_map(pi: Coupling) -> np.ndarray:
-    """Knot list (source atom, conditional mean) per source atom.
-
-    Monotonicity is not enforced; callers decide whether the knots form an
-    increasing map.
-    """
-    return np.column_stack([pi.source.atoms, pi.row_barycenters()])
 
 
 @dataclass(frozen=True)
@@ -493,10 +473,9 @@ def find_two_point_improvement(
 
 
 def coupling_to_csv(pi: Coupling) -> str:
-    lines = ["source_atom,target_atom,mass"]
-    for r, c, m in zip(pi.rows, pi.cols, pi.mass):
-        lines.append(f"{pi.source.atoms[r]:.16e},{pi.target.atoms[c]:.16e},{m:.16e}")
-    return "\n".join(lines) + "\n"
+    values = np.column_stack((pi.source.atoms[pi.rows], pi.target.atoms[pi.cols], pi.mass))
+    body = "".join(["\n%.16e,%.16e,%.16e"] * pi.mass.size) % tuple(values.ravel().tolist())
+    return "source_atom,target_atom,mass" + body + "\n"
 
 
 def parse_coupling_csv(text: str, source: DiscreteMeasure, target: DiscreteMeasure) -> Coupling:

@@ -28,7 +28,6 @@ from .measures import (
     _order_failure,
     convex_order_leq,
     irreducible_components,
-    level_blocks,
     lower_convex_envelope,
     mean,
     measure_from_potential,
@@ -67,12 +66,11 @@ def reverse_optimizer(
     irreducible interval T has slope 1, so d is its constant displacement
     c_I, and on the fixed set y_j = t_i, so the point is x_i itself. A point
     within MERGE_TOL times the span of its predecessor joins it. All
-    postconditions are verified; any failure raises ConsistencyError. T is
-    read from wmr._rearrangement, with no full solve.
+    postconditions are verified; any failure raises ConsistencyError. T and
+    the blocks are read from one wmr._rearrangement call, with no full solve.
     """
     cost = cost or CostSpec.quadratic()
-    t = _rearrangement(mu, nu)[0]
-    i, j, width = level_blocks(mu, nu)
+    t, _, _, (i, j, width) = _rearrangement(mu, nu)
     pos = nu.atoms[j] + (mu.atoms - t)[i]
     order = pos.argsort(kind="stable")
     pos, img = pos[order], nu.atoms[j][order]

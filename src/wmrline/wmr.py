@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qp
 from .errors import DomainError, PreconditionError, SizeError
 from .measures import (
     ORDER_TOL,
@@ -252,8 +251,9 @@ def _kkt_parts(mu: DiscreteMeasure, t: np.ndarray, slack: np.ndarray, cost: Cost
 
 def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """The weak monotone rearrangement's values t on mu's atoms, their order
-    slack at mu's levels (as _order_slack forms it), and moved = False when
-    mu <=_c nu to 1e-12 * scale (then t = x exactly).
+    slack at mu's levels (as _order_slack forms it), moved = False when
+    mu <=_c nu to 1e-12 * scale (then t = x exactly), and the blocks
+    level_blocks(mu, nu) it read them from.
 
     Atom i's blocks in level_blocks(mu, nu) have mass den_i and displacement
     sum num_i = sum width * (y_j - x_i). Pool-adjacent violators merges two
@@ -265,12 +265,12 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     increasing and its displacement nonincreasing.
     """
     x, y = mu.atoms, nu.atoms
-    i, j, width = level_blocks(mu, nu)
+    blocks = i, j, width = level_blocks(mu, nu)
     num = np.bincount(i, weights=width * (y[j] - x[i]), minlength=mu.n)
     slack = np.concatenate(([0.0], -num.cumsum()))  # _level_slack of t = x
     tol = 1e-12 * support_scale(mu, nu)
     if -slack.min() <= tol and abs(slack[-1]) <= tol:
-        return x, slack, False
+        return x, slack, False, blocks
     den = np.bincount(i, weights=width, minlength=mu.n).tolist()
     sums, mass, size = [], [], []
     for a, w in zip(num.tolist(), den):
@@ -284,7 +284,7 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     if 0.0 in den:  # the last atom needs no cap
         for k in np.flatnonzero(np.equal(den[:-1], 0.0))[::-1].tolist():
             t[k] = min(t[k], t[k + 1])
-    return t, _level_slack(i, j, width, t, y), True
+    return t, _level_slack(i, j, width, t, y), True, blocks
 
 
 def solve_weak_transport(
@@ -305,7 +305,7 @@ def solve_weak_transport(
     """
     cost = cost or CostSpec.quadratic()
     x, p = mu.atoms, mu.weights
-    t, slack, moved = _rearrangement(mu, nu)
+    t, slack, moved, _ = _rearrangement(mu, nu)
     residual = 0.0
     if moved:
         certified = cost if cost.strictly_convex else CostSpec.quadratic()
@@ -421,15 +421,6 @@ def verify_slope1_characterization(
     return SlopeReport(ok, adm.ok, tuple(viol))
 
 
-def check_maximality(
-    candidate: MonotoneMap, sol: WeakSolution, mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> bool:
-    """candidate(mu) <=_c sol.pushforward; candidate must be admissible."""
-    if not verify_admissible(candidate, mu, nu).ok:
-        raise PreconditionError("maximality check requires an admissible candidate")
-    return convex_order_leq(candidate.push(mu), sol.pushforward)
-
-
 def map_decomposition(map_: MonotoneMap):
     """Split the knot range into maximal unit-slope intervals and the rest.
 
@@ -446,33 +437,6 @@ def map_decomposition(map_: MonotoneMap):
     for i, j in zip(start[:-1].tolist(), start[1:].tolist()):
         (slope1 if unit[i] else contractive).append((float(x[i]), float(x[j])))
     return slope1, contractive
-
-
-def smooth_strictify(map_: MonotoneMap, eps: float) -> MonotoneMap:
-    """Strictly increasing perturbation within eps in sup norm.
-
-    On each of the R maximal flat knot runs (constant values, x-extent
-    lambda_k) the constant rate min(eps / (2 R lambda_k), 1) is integrated
-    from the left, so the total shift is at most eps / 2, flat runs become
-    strictly increasing and every non-flat segment, in particular each
-    unit-slope segment, keeps its slope.
-    """
-    if not eps > 0.0:
-        raise DomainError("eps must be positive")
-    x, t = map_.knots_x, map_.knots_t
-    if x.size < 2:
-        return map_
-    scale = max(1.0, float(x[-1] - x[0]), float(np.abs(t).max()))
-    flat = np.abs(t[1:] - t[:-1]) <= 1e-12 * scale
-    # +1 at the knot where a flat run starts, -1 at the knot where it ends
-    edge = np.diff(flat.astype(np.int8), prepend=0, append=0)
-    starts = edge == 1
-    lo, hi = x[starts], x[edge == -1]
-    rate = np.minimum(eps / (2 * lo.size * (hi - lo)), 1.0)
-    run = starts[:-1].cumsum() - 1  # the run of each flat segment
-    inc = np.zeros_like(t)
-    inc[1:][flat] = rate[run[flat]] * (x[1:] - x[:-1])[flat]
-    return MonotoneMap(x, t + inc.cumsum())
 
 
 # ---------------------------------------------------------------------------
@@ -564,5 +528,7 @@ def project_admissible(
         raise PreconditionError("need one candidate value per atom of mu")
     A_eq, b_eq, A_in, b_in = transport_polyhedron(mu, nu, lipschitz=True)
     x0 = np.full(mu.n, mean(nu))
+    from . import qp  # only this projection needs the QP oracle
+
     res = qp.solve_qp(np.eye(mu.n), -z, A_eq, b_eq, A_in, b_in, x0)
     return MonotoneMap(mu.atoms, res.x)

@@ -10,6 +10,9 @@ from wmrline import (
     CostSpec,
     MonotoneMap,
     PerturbationLadder,
+    build_martingale_coupling,
+    compose_with_map,
+    coupling_to_csv,
     map_decomposition,
     pushforward,
     read_measure_csv,
@@ -354,3 +357,82 @@ def _plot_segments_loop(sol):
         else:
             merged.append(seg)
     return merged
+
+
+def render_json_per_value(obj, indent=0):
+    """render_json as one call per value, before lists of float rows were
+    filled into one template: the reference for the writer's bytes."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{pad}  "{k}": {render_json_per_value(v, indent + 1)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {render_json_per_value(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".16e")
+    if obj is None:
+        return "null"
+    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def awkward_floats(rng, n):
+    """Signed zeros, non-finite values and magnitudes from 1e-320 to 1e300."""
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 300, n)
+    x[rng.random(n) < 0.1] = -0.0
+    x[rng.random(n) < 0.1] = 0.0
+    x[rng.random(n) < 0.02] = np.inf
+    x[rng.random(n) < 0.02] = np.nan
+    return x
+
+
+class TestWriters:
+    def test_render_json_matches_the_per_value_writer(self):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            x = awkward_floats(rng, 3 * n)
+            doc = {
+                "flat": x[:n].tolist(),
+                "numpy_scalars": list(x[:n]),
+                "float32": [np.float32(0.1), np.float32(-2.5)],
+                "rows": x.reshape(n, 3).tolist(),
+                "tuples": [tuple(r) for r in x.reshape(n, 3).tolist()],
+                "ragged": [x[:1].tolist(), x[:2].tolist()],
+                "mixed": [1.0, 2, True, None, "a\\b\"c"],
+                "mixed_rows": [[1.0, 2.0], [3.0, 4]],
+                "empty_rows": [[], []],
+                "nested": [[[1.0, 2.0]], [[3.0, 4.0]]],
+                "records": [{"k": 1, "v": [0.5, -0.0]}, {}],
+                "ints": [1, 2],
+            }
+            assert render_json(doc) == render_json_per_value(doc)
+
+    def test_csv_matches_the_per_value_writer(self):
+        rng = np.random.default_rng(17)
+        x = awkward_floats(rng, 60)
+        for rows in (
+            list(zip(x[:30], x[30:])),
+            [(1.0, 2.0, "contractive"), (3.0, 4.0, "martingale[0]")],
+            [(1.0, 2), (True, np.float32(0.1))],
+            [],
+        ):
+            want = "\n".join(["h", *(",".join(v if isinstance(v, str) else wmrline.cli.fmt(v) for v in r) for r in rows)])
+            assert wmrline.cli._csv("h", iter(rows)) == want + "\n"
+
+    def test_coupling_csv_matches_the_per_entry_writer(self):
+        mu, nu = mix_pair(np.random.default_rng(18), 30, 40)
+        sol = solve_weak_transport(mu, nu)
+        pi = compose_with_map(mu, sol.map, build_martingale_coupling(sol.pushforward, nu))
+        lines = ["source_atom,target_atom,mass"]
+        for r, c, m in zip(pi.rows, pi.cols, pi.mass):
+            lines.append(f"{mu.atoms[r]:.16e},{nu.atoms[c]:.16e},{m:.16e}")
+        assert coupling_to_csv(pi) == "\n".join(lines) + "\n"

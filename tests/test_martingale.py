@@ -14,7 +14,6 @@ from wmrline import (
     MonotoneMap,
     OrderError,
     StructureError,
-    barycenter_map,
     build_martingale_coupling,
     competitor_curve,
     compose_with_map,
@@ -22,11 +21,9 @@ from wmrline import (
     coupling_to_csv,
     decompose_martingale,
     find_two_point_improvement,
-    identity_coupling,
     mean,
     measures_close,
     optimality_certificate,
-    product_coupling,
     pushforward,
     solve_weak_transport,
     support_scale,
@@ -51,6 +48,17 @@ from conftest import (
     random_ordered_pair,
     spread_pair,
 )
+
+
+def identity_coupling(m: DiscreteMeasure) -> MartingaleCoupling:
+    idx = np.arange(m.n)
+    return MartingaleCoupling(m, m, idx, idx, m.weights.copy())
+
+
+def product_coupling(a: DiscreteMeasure, b: DiscreteMeasure) -> Coupling:
+    rows = np.repeat(np.arange(a.n), b.n)
+    cols = np.tile(np.arange(b.n), a.n)
+    return Coupling(a, b, rows, cols, np.outer(a.weights, b.weights).ravel())
 
 
 class TestCouplingTypes:
@@ -545,6 +553,11 @@ class TestLeftCurtain:
             mu, nu = mix_pair(rng, n, n)
             mg = build_martingale_coupling(solve_weak_transport(mu, nu).pushforward, nu)
             assert left_monotone_crossings(mg) == 0
+
+
+def barycenter_map(pi: Coupling) -> np.ndarray:
+    """Knot list (source atom, conditional mean) per source atom."""
+    return np.column_stack([pi.source.atoms, pi.row_barycenters()])
 
 
 class TestBarycenterMap:

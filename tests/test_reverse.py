@@ -32,7 +32,8 @@ from conftest import (
     random_ordered_pair,
     spread_pair,
 )
-from wmrline.measures import PiecewiseLinearFn, _drop_collinear, _lower_hull, quantiles_at
+from wmrline import measures, reverse, wmr
+from wmrline.measures import PiecewiseLinearFn, _drop_collinear, _lower_hull, level_blocks, quantiles_at
 from wmrline.reverse import _verify_reverse
 
 
@@ -177,6 +178,20 @@ class TestReverseClosedForm:
         assert mu.n == nu.n == 200
         r = reverse_optimizer(mu, nu)
         assert r.value == pytest.approx(solve_weak_transport(mu, nu).value, rel=1e-9)
+
+    def test_blocks_of_mu_and_nu_formed_once(self, monkeypatch):
+        # the map and the points of nu* come from the same level_blocks(mu, nu)
+        pairs = []
+
+        def counted(a, b):
+            pairs.append((a, b))
+            return level_blocks(a, b)
+
+        for module in (measures, wmr, reverse):
+            monkeypatch.setattr(module, "level_blocks", counted, raising=False)
+        mu, nu = nth_mix_pair(1, 2, (30,))
+        reverse_optimizer(mu, nu)
+        assert sum(a is mu and b is nu for a, b in pairs) == 1
 
 
 class TestConvexOrderMaxMap:

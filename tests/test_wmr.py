@@ -12,7 +12,6 @@ from wmrline import (
     MonotoneMap,
     PreconditionError,
     SizeError,
-    check_maximality,
     convex_order_leq,
     map_decomposition,
     mean,
@@ -20,7 +19,6 @@ from wmrline import (
     oracle_solve,
     project_admissible,
     reverse_optimizer,
-    smooth_strictify,
     solve_weak_transport,
     support_scale,
     value,
@@ -284,6 +282,13 @@ class TestSlope1Violations:
         assert slope1_violations(x, x, np.zeros(3), [], 0.0, 0.0) == []
 
 
+def check_maximality(candidate: MonotoneMap, sol, mu, nu) -> bool:
+    """candidate(mu) <=_c sol.pushforward; candidate must be admissible."""
+    if not verify_admissible(candidate, mu, nu).ok:
+        raise PreconditionError("maximality check requires an admissible candidate")
+    return convex_order_leq(candidate.push(mu), sol.pushforward)
+
+
 class TestMaximality:
     def test_collapse_below_rearrangement(self):
         mu, nu = dm([-2, 2]), dm([-1, 1])
@@ -335,6 +340,33 @@ class TestMapDecomposition:
             MonotoneMap(np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 2.0]))
         )
         assert s1 == [(0.0, 1.0)] and contr == [(1.0, 3.0)]
+
+
+def smooth_strictify(map_: MonotoneMap, eps: float) -> MonotoneMap:
+    """Strictly increasing perturbation within eps in sup norm.
+
+    On each of the R maximal flat knot runs (constant values, x-extent
+    lambda_k) the constant rate min(eps / (2 R lambda_k), 1) is integrated
+    from the left, so the total shift is at most eps / 2, flat runs become
+    strictly increasing and every non-flat segment, in particular each
+    unit-slope segment, keeps its slope.
+    """
+    if not eps > 0.0:
+        raise DomainError("eps must be positive")
+    x, t = map_.knots_x, map_.knots_t
+    if x.size < 2:
+        return map_
+    scale = max(1.0, float(x[-1] - x[0]), float(np.abs(t).max()))
+    flat = np.abs(t[1:] - t[:-1]) <= 1e-12 * scale
+    # +1 at the knot where a flat run starts, -1 at the knot where it ends
+    edge = np.diff(flat.astype(np.int8), prepend=0, append=0)
+    starts = edge == 1
+    lo, hi = x[starts], x[edge == -1]
+    rate = np.minimum(eps / (2 * lo.size * (hi - lo)), 1.0)
+    run = starts[:-1].cumsum() - 1  # the run of each flat segment
+    inc = np.zeros_like(t)
+    inc[1:][flat] = rate[run[flat]] * (x[1:] - x[:-1])[flat]
+    return MonotoneMap(x, t + inc.cumsum())
 
 
 class TestSmoothStrictify:
