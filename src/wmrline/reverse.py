@@ -70,7 +70,7 @@ def reverse_optimizer(
     the blocks are read from one wmr._rearrangement call, with no full solve.
     """
     cost = cost or CostSpec.quadratic()
-    t, _, _, (i, j, width) = _rearrangement(mu, nu)
+    t, _, _, (i, j, width, _, _) = _rearrangement(mu, nu)
     pos = nu.atoms[j] + (mu.atoms - t)[i]
     order = pos.argsort(kind="stable")
     pos, img = pos[order], nu.atoms[j][order]

@@ -112,7 +112,7 @@ def truncate_mean_preserving(eta: DiscreteMeasure, eps: float) -> TailTrim:
     if eta.n == 1:
         return TailTrim(eta.atoms.copy(), eta.weights.copy(), eta)
     w, x = eta.weights, eta.atoms
-    C = np.concatenate(([0.0], w.cumsum()))
+    C = np.concatenate(([0.0], eta.cumulative()))
     S = np.concatenate(([0.0], (w * (x - x[0])).cumsum()))  # int_0^C (F^{-1} - x_0)
     grid = np.union1d((0.0, eps), np.concatenate((C, C - (1.0 - eps))).clip(0.0, eps))
     # the removed moment minus eps * x_0 at each left-tail mass a on the grid,

@@ -30,13 +30,13 @@ from .measures import (
     ORDER_TOL,
     DiscreteMeasure,
     Interval,
+    _level_blocks,
     _level_slack,
     _order_failure,
     _order_slack,
     _slack_components,
     convex_order_leq,
     interval_index,
-    level_blocks,
     mean,
     pushforward,
     support_scale,
@@ -180,35 +180,20 @@ def transport_polyhedron(mu: DiscreteMeasure, nu: DiscreteMeasure, lipschitz: bo
     """
     n = mu.n
     cmu = np.concatenate(([0.0], mu.cumulative()))
-    levels = np.union1d(mu.cumulative(), nu.cumulative())
+    levels = np.union1d(cmu[1:], nu.cumulative())
     levels = levels[(levels > 1e-15) & (levels < 1.0 - 1e-15)]
-
-    rows = []
-    rhs = []
-    for i in range(n - 1):  # monotonicity
-        r = np.zeros(n)
-        r[i], r[i + 1] = -1.0, 1.0
-        rows.append(r)
-        rhs.append(0.0)
-    if lipschitz:
-        dx = np.diff(mu.atoms)
-        for i in range(n - 1):  # t_{i+1} - t_i <= dx_i
-            r = np.zeros(n)
-            r[i], r[i + 1] = 1.0, -1.0
-            rows.append(r)
-            rhs.append(-float(dx[i]))
-    if levels.size:
-        # int_0^s q_t(u) du = sum_i overlap(block_i, [0, s]) * t_i
-        overlap = np.minimum(cmu[1:], levels[:, None]) - np.minimum(cmu[:-1], levels[:, None])
-        overlap = np.maximum(overlap, 0.0)
-        G = _quantile_integral(nu, levels)
-        rows.extend(list(overlap))
-        rhs.extend(list(G))
-    A_in = np.array(rows) if rows else np.empty((0, n))
-    b_in = np.array(rhs) if rhs else np.empty(0)
+    eye = np.eye(n)
+    rows, rhs = [eye[1:] - eye[:-1]], [np.zeros(n - 1)]  # monotonicity
+    if lipschitz:  # t_{i+1} - t_i <= dx_i
+        rows.append(eye[:-1] - eye[1:])
+        rhs.append(-np.diff(mu.atoms))
+    # int_0^s q_t(u) du = sum_i overlap(block_i, [0, s]) * t_i
+    overlap = np.minimum(cmu[1:], levels[:, None]) - np.minimum(cmu[:-1], levels[:, None])
+    rows.append(np.maximum(overlap, 0.0))
+    rhs.append(_quantile_integral(nu, levels))
     A_eq = mu.weights.reshape(1, -1)
     b_eq = np.array([mean(nu)])
-    return A_eq, b_eq, A_in, b_in
+    return A_eq, b_eq, np.vstack(rows), np.concatenate(rhs)
 
 
 def _quantile_integral(nu: DiscreteMeasure, s: np.ndarray) -> np.ndarray:
@@ -226,21 +211,24 @@ def kkt_residual(mu: DiscreteMeasure, nu: DiscreteMeasure, t, cost: CostSpec) ->
     stationarity by p_i leaves -theta'(x_i - t_i) = sum_{k>=i} lambda_k + const,
     so the multipliers are lambda_k = theta'(d_{k+1}) - theta'(d_k) with
     d = x - t, and stationarity holds by construction. The residual is the
-    largest of: the mean error, a negative slack, a negative multiplier,
-    |lambda_k * slack_k|, and any decrease of t (monotonicity has no row: a
-    KKT point of the relaxed problem that is monotone solves the full one).
+    largest of: the mean error (off the slack and off the weights), a negative
+    slack, a negative multiplier, |lambda_k * slack_k|, and any decrease of t
+    (monotonicity has no row: a KKT point of the relaxed problem that is
+    monotone solves the full one).
     """
     t = np.asarray(t, dtype=float)
-    return _kkt_parts(mu, t, _order_slack(mu, nu, t), cost)
+    return _kkt_parts(mu, nu, t, _order_slack(mu, nu, t), cost)
 
 
-def _kkt_parts(mu: DiscreteMeasure, t: np.ndarray, slack: np.ndarray, cost: CostSpec) -> float:
+def _kkt_parts(mu: DiscreteMeasure, nu: DiscreteMeasure, t, slack, cost: CostSpec) -> float:
     """kkt_residual of t from its order slack at mu's levels (_order_slack)."""
     inner = slack[1:-1]
     d = cost.deriv(mu.atoms - t)
     lam = d[1:] - d[:-1]
+    y0 = nu.atoms[0]  # the weights' mean error, centred as the slack is
     parts = (
         abs(float(slack[-1])),
+        abs(float(mu.weights.dot(t - y0) - nu.weights.dot(nu.atoms - y0))),
         -float(inner.min(initial=0.0)),
         -float(lam.min(initial=0.0)),
         float(np.abs(lam * inner).max(initial=0.0)),
@@ -253,7 +241,7 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """The weak monotone rearrangement's values t on mu's atoms, their order
     slack at mu's levels (as _order_slack forms it), moved = False when
     mu <=_c nu to 1e-12 * scale (then t = x exactly), and the blocks
-    level_blocks(mu, nu) it read them from.
+    (i, j, width, cm, cn) of _level_blocks(mu, nu) it read them from.
 
     Atom i's blocks in level_blocks(mu, nu) have mass den_i and displacement
     sum num_i = sum width * (y_j - x_i). Pool-adjacent violators merges two
@@ -265,7 +253,7 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     increasing and its displacement nonincreasing.
     """
     x, y = mu.atoms, nu.atoms
-    blocks = i, j, width = level_blocks(mu, nu)
+    blocks = i, j, width, _, _ = _level_blocks(mu, nu)
     num = np.bincount(i, weights=width * (y[j] - x[i]), minlength=mu.n)
     slack = np.concatenate(([0.0], -num.cumsum()))  # _level_slack of t = x
     tol = 1e-12 * support_scale(mu, nu)
@@ -305,16 +293,15 @@ def solve_weak_transport(
     """
     cost = cost or CostSpec.quadratic()
     x, p = mu.atoms, mu.weights
-    t, slack, moved, _ = _rearrangement(mu, nu)
+    t, slack, moved, (*_, cm, cn) = _rearrangement(mu, nu)
     residual = 0.0
     if moved:
         certified = cost if cost.strictly_convex else CostSpec.quadratic()
-        residual = _kkt_parts(mu, t, slack, certified)
+        residual = _kkt_parts(mu, nu, t, slack, certified)
 
     value = float(np.dot(p, cost.value(x - t)))
     push = pushforward(mu, t)
-    levels = np.concatenate(([0.0], mu.cumulative()))
-    irre = _slack_components(levels, slack, nu, ORDER_TOL * support_scale(push, nu))
+    irre = _slack_components(slack, cm, cn, nu.atoms, ORDER_TOL * support_scale(push, nu))
     return WeakSolution(
         map=MonotoneMap(x, t),
         pushforward=push,

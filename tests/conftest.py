@@ -80,6 +80,15 @@ def spread_pair(rng, n):
     return tuple(out)
 
 
+def empirical_pair(seed, n):
+    """n atoms of N(0, 1) for mu, then n atoms of N(0, 1.3^2) for nu, drawn
+    from default_rng(seed); each measure is sorted, every weight is 1/n."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.3, n)
+    w = np.full(n, 1.0 / n)
+    return DiscreteMeasure(np.sort(x), w), DiscreteMeasure(np.sort(y), w)
+
+
 def clustered_pair(rng):
     """n in 1..20 mu atoms U(-3,3); nu is 1-5 clusters of 1-6 atoms around
     U(-2,2) centres, consecutive atoms 10^U(-10,-6) apart; Dirichlet(1)

@@ -38,6 +38,7 @@ from conftest import (
     clustered_pair,
     dirac,
     dm,
+    empirical_pair,
     four_family_pairs,
     mix_and_offset_pairs,
     mix_pair,
@@ -464,6 +465,21 @@ class TestPipelineRegressions:
     )
     def test_solve_couple_compose_certify_decompose(self, seed, index, n):
         mg = run_pipeline(*nth_mix_pair(seed, index, (n,)))
+        dec = decompose_martingale(mg)
+        assigned = np.concatenate([dec.fixed, *(idx for _, idx in dec.components)])
+        assert np.array_equal(np.sort(assigned), np.arange(mg.mass.size))
+
+    @pytest.mark.parametrize(
+        "kind,seed,n",
+        [("empirical", 0, 100_000), ("empirical", 1, 100_000), ("empirical", 0, 50_000),
+         ("mix", 4, 100_000), ("mix", 6, 100_000), ("mix", 10, 100_000)],
+    )
+    def test_north_star_sizes(self, kind, seed, n):
+        """Levels from a plain cumsum of the weights drifted up to 1.9e-12
+        from the weights at 10^5, so mean(T(mu)) missed mean(nu) by up to
+        2.7e-12 and the coupling missed its barycenter gate on these pairs."""
+        mu, nu = empirical_pair(seed, n) if kind == "empirical" else nth_mix_pair(seed, 1, (n,))
+        mg = run_pipeline(mu, nu)
         dec = decompose_martingale(mg)
         assigned = np.concatenate([dec.fixed, *(idx for _, idx in dec.components)])
         assert np.array_equal(np.sort(assigned), np.arange(mg.mass.size))

@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -26,9 +29,11 @@ from wmrline import measures
 from wmrline.measures import (
     MERGE_TOL,
     ORDER_TOL,
+    _level_blocks,
     _merge_close,
     _order_slack,
     _order_witness,
+    _prefix_sum,
     level_blocks,
     lowest_mass,
     parse_measure_csv,
@@ -300,9 +305,9 @@ class TestOrderWitness:
 
         def counted(a, b):
             calls.append(1)
-            return level_blocks(a, b)
+            return _level_blocks(a, b)
 
-        monkeypatch.setattr(measures, "level_blocks", counted)
+        monkeypatch.setattr(measures, "_level_blocks", counted)
         mu, nu = spread_pair(np.random.default_rng(4), 40)
         irreducible_components(mu, nu)
         assert len(calls) == 1
@@ -557,6 +562,37 @@ class TestCumulative:
         sol = weak_monotone_rearrangement(mu, nu)
         assert sol.kkt_residual <= 1e-8 * support_scale(mu, nu)
         assert np.all(np.diff(sol.map.knots_t) >= 0.0)
+
+
+class TestPrefixSum:
+    def test_within_one_ulp_of_the_exact_partial_sums(self):
+        # a plain cumsum is off by up to 392 ulps here
+        rng = np.random.default_rng(4105)
+        n = 3000
+        for w in (np.full(n, 1.0 / n), rng.dirichlet(np.ones(n)), 10.0 ** rng.uniform(-12.0, 0.0, n)):
+            exact = np.array([float(s) for s in itertools.accumulate(map(Fraction, w.tolist()))])
+            c = _prefix_sum(w)
+            assert np.all(np.abs(c - exact) <= np.spacing(exact))
+            assert np.all(np.diff(c) >= 0.0)
+
+    @pytest.mark.parametrize("ordered", [False, True])  # the pooled and the identity path
+    def test_each_measure_summed_once_per_call(self, monkeypatch, ordered):
+        calls = []
+
+        def counted(w):
+            calls.append(w.size)
+            return _prefix_sum(w)
+
+        monkeypatch.setattr(measures, "_prefix_sum", counted)
+        rng = np.random.default_rng(4106)
+        mu, nu = spread_pair(rng, 40) if ordered else mix_pair(rng, 40, 30)
+        sol = weak_monotone_rearrangement(mu, nu)
+        assert calls == [mu.n, nu.n]
+        irreducible_components(sol.pushforward, nu)
+        assert calls[2:] == [sol.pushforward.n, nu.n]
+        with pytest.raises(OrderError):  # the witness reads the same levels
+            irreducible_components(nu, sol.pushforward)
+        assert len(calls) == 6
 
 
 class TestLevelBlocksMerge:

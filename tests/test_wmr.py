@@ -27,11 +27,20 @@ from wmrline import (
     wasserstein,
     weak_monotone_rearrangement,
 )
-from wmrline import qp
+from wmrline import measures, qp
 from wmrline.measures import _lower_hull
 from wmrline.wmr import kkt_residual, slope1_violations, transport_polyhedron
 
-from conftest import dirac, dm, four_family_pairs, mix_pair, nth_mix_pair, random_measure
+from conftest import (
+    dirac,
+    dm,
+    empirical_pair,
+    four_family_pairs,
+    mix_pair,
+    nth_mix_pair,
+    random_measure,
+    spread_pair,
+)
 
 COSTS = (CostSpec.quadratic(), CostSpec.quartic(), CostSpec.power(3.0))
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -572,6 +581,21 @@ class TestCertificate:
         assert kkt_residual(mu, nu, np.array([-1.0, 1.0]), CostSpec.quadratic()) == 0.0
         assert kkt_residual(mu, nu, np.array([-0.9, 1.1]), CostSpec.quadratic()) >= 0.1 - 1e-12
 
+    def test_mean_part_reads_the_weights(self, monkeypatch):
+        # the slack's mean part is formed from the level blocks' widths; with
+        # levels from a plain cumsum they drift from the weights by up to
+        # 1.9e-12 at 10^5, t(mu) misses mean(nu) by about 1e-12, and the
+        # slack alone reported at most 5.1e-15
+        mu, nu = empirical_pair(0, 100_000)
+        cost, s = CostSpec.quadratic(), support_scale(mu, nu)
+        sol = solve_weak_transport(mu, nu)
+        assert sol.kkt_residual <= 1e-14 * s
+        assert kkt_residual(mu, nu, sol.map.knots_t, cost) <= 1e-14 * s
+        monkeypatch.setattr(measures, "_prefix_sum", np.cumsum)
+        sol = solve_weak_transport(mu, nu)
+        assert sol.kkt_residual >= 5e-13
+        assert kkt_residual(mu, nu, sol.map.knots_t, cost) >= 5e-13
+
 
 class TestMonotoneMapConstruction:
     def test_matches_the_always_sorting_constructor(self):
@@ -623,6 +647,44 @@ class TestFusedSolve:
 
 def _weights(rng, n):
     return rng.dirichlet(np.ones(n))
+
+
+def _clustered_target(rng, n, clusters, per_cluster):
+    """mu: n atoms U(-3, 3); nu: clusters of per_cluster atoms 10^U(-10, -6)
+    apart around U(-2, 2) centres; Dirichlet(1) weights."""
+    gaps = 10.0 ** rng.uniform(-10.0, -6.0, (clusters, per_cluster))
+    gaps[:, 0] = 0.0
+    y = (rng.uniform(-2.0, 2.0, (clusters, 1)) + np.cumsum(gaps, axis=1)).ravel()
+    mu = dm(np.sort(rng.uniform(-3.0, 3.0, n)), rng.dirichlet(np.ones(n)))
+    return mu, dm(y, rng.dirichlet(np.ones(y.size)))
+
+
+class TestTenThousandAtoms:
+    """Property families at n = 10^4: the solve is certified and admissible,
+    and t(mu) keeps nu's mean, read off the weights, to 1e-14 * scale. Wide
+    offsets (up to 1e6, an ulp of 1.2e-10) check the solve only."""
+
+    N = 10_000
+
+    @pytest.mark.parametrize("family", ["mix", "spread", "clustered", "offset"])
+    def test_certified(self, family):
+        rng = np.random.default_rng(10_000)
+        for _ in range(3):
+            if family == "mix":
+                mu, nu = mix_pair(rng, self.N, self.N)
+            elif family == "spread":
+                mu, nu = spread_pair(rng, self.N)
+            elif family == "clustered":
+                mu, nu = _clustered_target(rng, self.N, 100, 100)
+            else:
+                offset = float(rng.uniform(-1e6, 1e6))
+                mu, nu = (m.shift(offset) for m in mix_pair(rng, self.N, self.N))
+            s = support_scale(mu, nu)
+            sol = solve_weak_transport(mu, nu)
+            assert sol.kkt_residual <= 1e-8 * s
+            assert verify_admissible(sol.map, mu, nu).ok
+            if family != "offset":
+                assert abs(np.dot(mu.weights, sol.map.knots_t) - mean(nu)) <= 1e-14 * s
 
 
 class TestHullProperties:
