@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import WmrError
 from .measures import (
+    _csv,
     _order_witness,
     interval_index,
     irreducible_components,
@@ -93,15 +94,6 @@ def _measure_doc(m) -> dict:
 
 def _knots_doc(map_) -> list:
     return np.column_stack((map_.knots_x, map_.knots_t)).tolist()
-
-
-def _csv(header: str, rows) -> str:
-    """The header line, then one line per row: numbers in fmt, text as is.
-    Every row has the first row's shape, so one template ("%.16e" is the
-    text of fmt) writes them all."""
-    rows = [tuple(row) for row in rows]
-    line = ",".join("%s" if isinstance(v, str) else "%.16e" for row in rows[:1] for v in row)
-    return header + ("\n" + line) * len(rows) % tuple(chain.from_iterable(rows)) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     Interval,
+    _csv,
     _csv_rows,
     _order_failure,
-    convex_order_leq,
     lowest_mass,
     mean,
     measures_close,
@@ -143,8 +143,9 @@ def build_martingale_coupling(eta: DiscreteMeasure, nu: DiscreteMeasure) -> Mart
     (mass <= 1e-12 moving the barycenter by <= 1e-10 * scale) are dropped.
     Raises OrderError when eta <=_c nu fails.
     """
-    if not convex_order_leq(eta, nu):
-        raise OrderError(f"martingale coupling: {_order_failure(eta, nu, 'eta', 'nu')}")
+    why = _order_failure(eta, nu, "eta", "nu")
+    if why is not None:
+        raise OrderError(f"martingale coupling: {why}")
     s = support_scale(eta, nu)
     # nu's atoms are nodes 1..m; 0 and m + 1 are sentinels. The atoms with
     # mass left form a doubly linked list, and an atom leaves it when its
@@ -322,20 +323,8 @@ def decompose_martingale(mg: MartingaleCoupling) -> MartingaleDecomposition:
 @dataclass(frozen=True)
 class CertificateReport:
     ok: bool
-    map_matches_rearrangement: bool
-    second_stage_martingale: bool
     max_map_gap: float
     violations: tuple = ()
-
-
-def _regroup(rows: np.ndarray, cols: np.ndarray, mass: np.ndarray):
-    """One entry per distinct (row, col), in lexicographic order, holding the
-    sum of that pair's masses taken in their order (a running sum: the stable
-    sort keeps each group's order and bincount adds in it)."""
-    order = np.lexsort((cols, rows))
-    r, c = rows[order], cols[order]
-    new = np.concatenate(([True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])))
-    return r[new], c[new], np.bincount(new.cumsum() - 1, weights=mass[order])
 
 
 def optimality_certificate(
@@ -345,33 +334,23 @@ def optimality_certificate(
     cost: CostSpec | None = None,
     tol: float = 1e-7,
 ) -> CertificateReport:
-    """A coupling is optimal iff its barycenter map is the weak monotone
-    rearrangement and the induced second stage is a martingale coupling.
-    The rearrangement is the same for every strictly convex cost, so this
-    characterization holds for each of them and cost is not read.
+    """A coupling of (mu, nu) is optimal iff its barycenter map
+    bary(x) = E[Y | X = x] is the weak monotone rearrangement: the
+    barycentric cost sees a coupling only through that map (Gozlan et al.
+    2017). The rearrangement is the same for every strictly convex cost, so
+    this holds for each of them and cost is not read.
 
-    The rearrangement's values on mu's atoms are read from the rearrangement
-    kernel (wmr._rearrangement), with no full solve: no pushforward, KKT
-    residual or irreducible intervals are built."""
+    No second stage is tested: (bary(X), Y) is a martingale coupling for
+    every coupling, since E[Y | bary(X)] = bary(X) by the tower property, so
+    such a test could fail only by rounding. The rearrangement's values on
+    mu's atoms are read from the rearrangement kernel (wmr._rearrangement),
+    with no full solve, and no measure or coupling is built."""
     if not (measures_close(pi.source, mu) and measures_close(pi.target, nu)):
         raise CouplingError("coupling marginals do not match (mu, nu)")
-    s = support_scale(mu, nu)
-    bary = pi.row_barycenters()
-    gap = float(np.abs(bary - _rearrangement(mu, nu)[0]).max())
-    map_ok = gap <= tol * s
-
-    viol = []
-    if not map_ok:
-        viol.append(f"barycenter map deviates from the rearrangement by {gap:.3e}")
-    second_ok = True
-    try:
-        push = DiscreteMeasure(bary, mu.weights)
-        pos = nearest_atom(push.atoms, bary[pi.rows])
-        MartingaleCoupling(push, nu, *_regroup(pos, pi.cols, pi.mass))
-    except (CouplingError, ValueError) as err:
-        second_ok = False
-        viol.append(f"second stage is not a martingale coupling: {err}")
-    return CertificateReport(map_ok and second_ok, map_ok, second_ok, gap, tuple(viol))
+    gap = float(np.abs(pi.row_barycenters() - _rearrangement(mu, nu)[0]).max())
+    if gap <= tol * support_scale(mu, nu):
+        return CertificateReport(True, gap)
+    return CertificateReport(False, gap, (f"barycenter map deviates from the rearrangement by {gap:.3e}",))
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +452,8 @@ def find_two_point_improvement(
 
 
 def coupling_to_csv(pi: Coupling) -> str:
-    values = np.column_stack((pi.source.atoms[pi.rows], pi.target.atoms[pi.cols], pi.mass))
-    body = "".join(["\n%.16e,%.16e,%.16e"] * pi.mass.size) % tuple(values.ravel().tolist())
-    return "source_atom,target_atom,mass" + body + "\n"
+    columns = (pi.source.atoms[pi.rows], pi.target.atoms[pi.cols], pi.mass)
+    return _csv("source_atom,target_atom,mass", zip(*(c.tolist() for c in columns)))
 
 
 def parse_coupling_csv(text: str, source: DiscreteMeasure, target: DiscreteMeasure) -> Coupling:

@@ -21,6 +21,7 @@ and the irreducible intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -333,9 +334,12 @@ def _order_check(a: DiscreteMeasure, b: DiscreteMeasure, thr: float):
     return witness, (slack, ca, cb)
 
 
-def _order_failure(a, b, na: str, nb: str, tol: float = ORDER_TOL) -> str:
-    """The witness of a failed a <=_c b in words, calling a and b na and nb."""
-    return _witness_words(_order_witness(a, b, tol), na, nb, tol * support_scale(a, b))
+def _order_failure(a, b, na: str, nb: str, tol: float = ORDER_TOL) -> str | None:
+    """Why a <=_c b fails at tol * scale, in words that call a and b na and
+    nb, or None when it holds: one _order_check pass gives both."""
+    thr = tol * support_scale(a, b)
+    witness = _order_check(a, b, thr)[0]
+    return None if witness is None else _witness_words(witness, na, nb, thr)
 
 
 def _witness_words(w: dict, na: str, nb: str, thr: float) -> str:
@@ -590,6 +594,14 @@ def _csv_rows(text: str, header: str) -> tuple[list, np.ndarray]:
     return linenos, np.array(rows, dtype=float).reshape(-1, fields).T
 
 
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row: numbers as "%.16e", text as
+    is. Every row has the first row's shape, so one template writes them all."""
+    rows = list(rows)
+    line = ",".join("%s" if isinstance(v, str) else "%.16e" for row in rows[:1] for v in row)
+    return header + ("\n" + line) * len(rows) % tuple(chain.from_iterable(rows)) + "\n"
+
+
 def parse_measure_csv(text: str) -> DiscreteMeasure:
     _, (atoms, weights) = _csv_rows(text, "atom,weight")
     if not atoms.size:
@@ -604,6 +616,4 @@ def read_measure_csv(path) -> DiscreteMeasure:
 
 def write_measure_csv(m: DiscreteMeasure, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("atom,weight\n")
-        for a, w in zip(m.atoms, m.weights):
-            fh.write(f"{a:.16e},{w:.16e}\n")
+        fh.write(_csv("atom,weight", zip(m.atoms.tolist(), m.weights.tolist())))

@@ -18,16 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, OrderError, PreconditionError
+from .errors import ConsistencyError, PreconditionError
 from .measures import (
     MERGE_TOL,
     ORDER_TOL,
     DiscreteMeasure,
     Interval,
     _mismatch,
+    _order_check,
     _order_failure,
+    _slack_components,
+    _witness_words,
     convex_order_leq,
-    irreducible_components,
     lower_convex_envelope,
     mean,
     measure_from_potential,
@@ -97,10 +99,12 @@ def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> list[Int
     viol = _shape_check(tilde.knots_x, tilde.knots_t, 1e-9 * s)[2]
     if viol:
         raise ConsistencyError(f"reverse map is not increasing and 1-Lipschitz: {'; '.join(viol)}")
-    try:  # the one convex-order pass: irreducible_components checks mu <=_c nu* first
-        comps = irreducible_components(mu, nu_star)
-    except OrderError:
-        raise ConsistencyError(f"reverse solution: {_order_failure(mu, nu_star, 'mu', 'nu*')}") from None
+    # one convex-order pass gives the verdict, its witness and the components
+    thr = ORDER_TOL * support_scale(mu, nu_star)
+    witness, levels = _order_check(mu, nu_star, thr)
+    if witness is not None:
+        raise ConsistencyError(f"reverse solution: {_witness_words(witness, 'mu', 'nu*', thr)}")
+    comps = _slack_components(*levels, nu_star.atoms, thr)
     why = _mismatch(DiscreteMeasure(images, wts), nu, 1e-9)
     if why is not None:
         raise ConsistencyError(f"reverse map does not push nu* onto nu: {why}")
@@ -197,15 +201,15 @@ def residual_order_check(
     """
     s = support_scale(eta1, eta2)
     for m, f in ((eta1, T1), (eta2, T2)):
-        monotone, lip, _ = _shape_check(m.atoms, f(m.atoms), SHAPE_TOL * s)
+        monotone, lip, viol = _shape_check(m.atoms, f(m.atoms), SHAPE_TOL * s)
         if not monotone:
-            raise PreconditionError("maps must be increasing on the atoms")
+            raise PreconditionError(f"maps must be increasing on the atoms: {viol[0]}")
         if not lip:
-            raise PreconditionError("maps must be 1-Lipschitz on the atoms")
-    if not convex_order_leq(eta1, eta2):
-        raise PreconditionError("need eta1 <=_c eta2")
-    if not convex_order_leq(T2.push(eta2), T1.push(eta1)):
-        raise PreconditionError("need T2(eta2) <=_c T1(eta1)")
+            raise PreconditionError(f"maps must be 1-Lipschitz on the atoms: {viol[0]}")
+    for a, b, na, nb in ((eta1, eta2, "eta1", "eta2"), (T2.push(eta2), T1.push(eta1), "T2(eta2)", "T1(eta1)")):
+        why = _order_failure(a, b, na, nb)
+        if why is not None:
+            raise PreconditionError(f"need {na} <=_c {nb}: {why}")
     res1 = pushforward(eta1, eta1.atoms - T1(eta1.atoms))
     res2 = pushforward(eta2, eta2.atoms - T2(eta2.atoms))
     return convex_order_leq(res1, res2)

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, HypothesisError, OrderError
-from .martingale import build_martingale_coupling
 from .measures import (
     DiscreteMeasure,
     _bin_barycenters,
+    _csv,
     _order_failure,
-    convex_order_leq,
     level_blocks,
     lowest_mass,
     quantize,
@@ -48,8 +47,11 @@ def eta_transfer(
     are re-verified here, as is the finite-atom sharpening
     |x_i - R(x_i)| <= W_1(nu, nu_k) / min weight.
     """
-    if not convex_order_leq(eta, nu):
-        raise OrderError(f"eta_transfer requires eta <=_c nu: {_order_failure(eta, nu, 'eta', 'nu')}")
+    from .martingale import build_martingale_coupling
+
+    why = _order_failure(eta, nu, "eta", "nu")
+    if why is not None:
+        raise OrderError(f"eta_transfer requires eta <=_c nu: {why}")
     M = build_martingale_coupling(eta, nu)
     # nu's conditional means under the quantile coupling of (nu, nu_k), which
     # is W_rho-optimal for every rho >= 1, in coordinates centred on nu's
@@ -66,8 +68,8 @@ def eta_transfer(
     eta_k = DiscreteMeasure(R, eta.weights)
 
     s = support_scale(eta, nu, nu_k)
-    if not convex_order_leq(eta_k, nu_k, 1e-8):
-        why = _order_failure(eta_k, nu_k, "eta_k", "nu_k", 1e-8)
+    why = _order_failure(eta_k, nu_k, "eta_k", "nu_k", 1e-8)
+    if why is not None:
         raise ConsistencyError(f"transferred measure is not below nu_k in convex order: {why}")
     w1 = wasserstein(nu, nu_k, 1.0)
     per_atom = np.abs(eta.atoms - R)
@@ -212,11 +214,11 @@ class StabilityReport:
 
     def to_csv(self) -> str:
         heads = ",".join(f"map_gap@{e:g}" for e in MAP_GAP_EPS)
-        lines = [f"k,value_gap,optimizer_gap_W1,{heads}"]
-        for r in self.rungs:
-            gaps = ",".join(f"{r.map_gaps[e]:.16e}" for e in MAP_GAP_EPS)
-            lines.append(f"{r.k},{r.value_gap:.16e},{r.optimizer_gap_w1:.16e},{gaps}")
-        return "\n".join(lines) + "\n"
+        rows = (
+            (str(r.k), r.value_gap, r.optimizer_gap_w1, *(r.map_gaps[e] for e in MAP_GAP_EPS))
+            for r in self.rungs
+        )
+        return _csv(f"k,value_gap,optimizer_gap_W1,{heads}", rows)
 
 
 def _map_gaps(mu_a, t_a, mu_b, t_b) -> dict:

@@ -35,7 +35,6 @@ from .measures import (
     _order_failure,
     _order_slack,
     _slack_components,
-    convex_order_leq,
     interval_index,
     mean,
     pushforward,
@@ -241,19 +240,28 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """The weak monotone rearrangement's values t on mu's atoms, their order
     slack at mu's levels (as _order_slack forms it), moved = False when
     mu <=_c nu to 1e-12 * scale (then t = x exactly), and the blocks
-    (i, j, width, cm, cn) of _level_blocks(mu, nu) it read them from.
+    (i, j, width, cm, cn) of _level_blocks(mu, nu) it read them from, with
+    one block more for each atom whose weight is lost to the rounding of the
+    levels (its level c equals the one before, so it has no block): its own
+    weight, at mu's atom just below c for one of nu's, at nu's atom just
+    above c for one of mu's, so the blocks stay a monotone coupling.
 
-    Atom i's blocks in level_blocks(mu, nu) have mass den_i and displacement
-    sum num_i = sum width * (y_j - x_i). Pool-adjacent violators merges two
-    adjacent pools while the earlier mean is below the later one (equal means
-    stay apart), and t is x plus its pool's mean: a ratio of sums over the
-    pool, so no rounding of global sums is divided by a tiny width. An atom
-    with no block (its weight lost to the rounding of the levels) joins the
-    pool before it and is capped at the next atom's value, so t stays
-    increasing and its displacement nonincreasing.
+    Atom i's blocks have mass den_i and displacement sum num_i = sum width *
+    (y_j - x_i). Pool-adjacent violators merges two adjacent pools while the
+    earlier mean is below the later one (equal means stay apart), and t is x
+    plus its pool's mean: a ratio of sums over the pool, so no rounding of
+    global sums is divided by a tiny width. A lost atom's own block puts it
+    where a weight tending to 0 would: at its own displacement, clipped to
+    its neighbours' (so a lost last atom stays inside nu's hull).
     """
     x, y = mu.atoms, nu.atoms
-    blocks = i, j, width, _, _ = _level_blocks(mu, nu)
+    i, j, width, cm, cn = _level_blocks(mu, nu)
+    lm, ln = (cm[1:] == cm[:-1]).nonzero()[0] + 1, (cn[1:] == cn[:-1]).nonzero()[0] + 1
+    if lm.size or ln.size:
+        i = np.concatenate((i, lm, cm.searchsorted(cn[ln])))
+        j = np.concatenate((j, np.minimum(cn.searchsorted(cm[lm], side="right"), nu.n - 1), ln))
+        width = np.concatenate((width, mu.weights[lm], nu.weights[ln]))
+    blocks = i, j, width, cm, cn
     num = np.bincount(i, weights=width * (y[j] - x[i]), minlength=mu.n)
     slack = np.concatenate(([0.0], -num.cumsum()))  # _level_slack of t = x
     tol = 1e-12 * support_scale(mu, nu)
@@ -263,15 +271,12 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     sums, mass, size = [], [], []
     for a, w in zip(num.tolist(), den):
         k = 1
-        while sums and (w == 0.0 or sums[-1] * w < a * mass[-1]):
+        while sums and sums[-1] * w < a * mass[-1]:
             a, w, k = a + sums.pop(), w + mass.pop(), k + size.pop()
         sums.append(a)
         mass.append(w)
         size.append(k)
     t = x + (np.array(sums) / np.array(mass)).repeat(size)
-    if 0.0 in den:  # the last atom needs no cap
-        for k in np.flatnonzero(np.equal(den[:-1], 0.0))[::-1].tolist():
-            t[k] = min(t[k], t[k + 1])
     return t, _level_slack(i, j, width, t, y), True, blocks
 
 
@@ -361,9 +366,9 @@ def verify_admissible(
     t = map_(x)
     monotone, lip, viol = _shape_check(x, t, tol * support_scale(mu, nu))
     push, order_tol = pushforward(mu, t), max(ORDER_TOL, tol)
-    ordered = convex_order_leq(push, nu, order_tol)
+    why = _order_failure(push, nu, "T(mu)", "nu", order_tol)
+    ordered = why is None
     if not ordered:
-        why = _order_failure(push, nu, "T(mu)", "nu", order_tol)
         viol.append(f"pushforward is not below nu in convex order: {why}")
     ok = monotone and lip and ordered
     return AdmissibilityReport(ok, monotone, lip, ordered, tuple(viol))

@@ -9,7 +9,9 @@ from wmrline import (
     DomainError,
     MonotoneMap,
     OrderError,
+    build_martingale_coupling,
     convex_order_leq,
+    eta_transfer,
     irreducible_components,
     mean,
     measure_from_potential,
@@ -31,6 +33,7 @@ from wmrline.measures import (
     ORDER_TOL,
     _level_blocks,
     _merge_close,
+    _order_check,
     _order_slack,
     _order_witness,
     _prefix_sum,
@@ -318,6 +321,31 @@ class TestOrderWitness:
             irreducible_components(mu, nu.shift(0.5))
         assert not convex_order_leq(mu, nu.shift(0.5))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda a, b: build_martingale_coupling(a, b),
+            lambda a, b: verify_admissible(MonotoneMap.identity(a.atoms), a, b),
+            lambda a, b: eta_transfer(a, b, b),
+        ],
+        ids=["build_martingale_coupling", "verify_admissible", "eta_transfer"],
+    )
+    def test_a_failed_order_is_reported_from_one_pass(self, monkeypatch, check):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _order_check(*args)
+
+        monkeypatch.setattr(measures, "_order_check", counted)
+        try:
+            report = check(dm([-2, 2]), dm([-1, 1]))
+        except OrderError:
+            pass
+        else:
+            assert not report.pushforward_ordered
+        assert len(calls) == 1
 
 
 class TestIrreducibleComponents:

@@ -106,6 +106,38 @@ class TestReverseOptimizer:
         assert checked > 50
 
 
+# a trailing weight below the rounding of the cumulative sum before it
+TINY_TAIL = [0.17227609353408005, 0.35023981772382573, 0.31618173410429423,
+             0.16130235463779996, 2.836276496654493e-17]
+
+
+class TestSubUlpWeights:
+    """A weight below the rounding of the cumulative sum before it has no
+    block of the merged levels; the rearrangement gives it one of its own
+    weight, so nu* carries a point for it on either side."""
+
+    def test_tiny_tail_pair_both_ways(self):
+        mu, nu = dm(np.arange(5.0), TINY_TAIL), dm([0.0, 4.0])
+        r = reverse_optimizer(mu, nu)
+        # the light atom stays inside nu's hull, as a vanishing weight would leave it
+        assert solve_weak_transport(mu, nu).map(4.0)[0] == r.tilde_map(4.0)[0] == 4.0
+        r = reverse_optimizer(nu, mu)
+        assert measures_close(r.tilde_map.push(r.nu_star), mu)
+        assert r.value == pytest.approx(solve_weak_transport(nu, mu).value, rel=1e-12)
+
+    def test_random_draws_both_ways(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            n, m = int(rng.integers(3, 41)), int(rng.integers(1, 41))
+            x, y = np.sort(rng.uniform(-3.0, 3.0, n)), np.sort(rng.uniform(-2.0, 2.0, m))
+            p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            light = rng.choice(n, int(rng.integers(1, 4)), replace=False)
+            p[light] = 10.0 ** rng.uniform(-20.0, -17.0, light.size)
+            mu, nu = dm(x, p / p.sum()), dm(y, q / q.sum())
+            reverse_optimizer(mu, nu)
+            reverse_optimizer(nu, mu)
+
+
 class TestReverseShapeCheck:
     def test_failure_names_the_worst_pair(self):
         # the shape of the reverse map is checked before any other argument is read
@@ -319,6 +351,25 @@ class TestResidualOrderCheck:
         ident_nu = MonotoneMap.identity(nu.atoms)
         with pytest.raises(PreconditionError):
             residual_order_check(nu, mu, ident_nu, ident_mu)  # eta1 not <=_c eta2
+
+    def test_precondition_failures_name_their_margin(self):
+        mu, nu = dm([-1, 1]), dm([-2, 2])
+        ident_mu, ident_nu = MonotoneMap.identity(mu.atoms), MonotoneMap.identity(nu.atoms)
+        want = (
+            r"^need eta1 <=_c eta2: eta1 <=_c eta2 fails: "
+            r"u_eta1 - u_eta2 = 1\.000e\+00 at eta2's atom 0 \(-1\.0\), above tol 4\.000e-09$"
+        )
+        with pytest.raises(PreconditionError, match=want):
+            residual_order_check(nu, mu, ident_nu, ident_mu)
+        want = r"^need T2\(eta2\) <=_c T1\(eta1\): T2\(eta2\) <=_c T1\(eta1\) fails: u_T2\(eta2\)"
+        with pytest.raises(PreconditionError, match=want):
+            residual_order_check(mu, nu, MonotoneMap(mu.atoms, 0.5 * mu.atoms), ident_nu)
+        want = r"^maps must be 1-Lipschitz on the atoms: expansion by 2\.000e\+00 between atoms -1\.0 and 1\.0$"
+        with pytest.raises(PreconditionError, match=want):
+            residual_order_check(mu, nu, MonotoneMap(mu.atoms, 2.0 * mu.atoms), ident_nu)
+        want = r"^maps must be increasing on the atoms: decreasing between atoms -1\.0 and 1\.0$"
+        with pytest.raises(PreconditionError, match=want):
+            residual_order_check(mu, nu, MonotoneMap(mu.atoms, -mu.atoms), ident_nu)
 
     def test_random_instances(self, rng):
         ran = 0

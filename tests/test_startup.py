@@ -105,7 +105,7 @@ class TestSubcommandModules:
             (["wmr", "mu", "nu", "--verify"], ["martingale"]),
             (["compose", "mu", "nu"], ["martingale"]),
             (["reverse", "mu", "nu"], ["reverse"]),
-            (["stability", "mu", "nu", "--rungs", "2"], ["martingale", "stability"]),
+            (["stability", "mu", "nu", "--rungs", "2"], ["stability"]),
         ],
         ids=" ".join,
     )

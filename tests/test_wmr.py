@@ -534,9 +534,9 @@ class TestPooledRegression:
 
 class TestSubUlpWeights:
     """A mu weight below the rounding of the cumulative sum before it has no
-    block in level_blocks; its atom joins the pool before it, capped at the
-    next atom's value. reverse_optimizer still raises on such atoms, so the
-    solve is checked on its own."""
+    block in level_blocks; the rearrangement gives its atom a block of its
+    own weight, so the atom sits where a vanishing weight would leave it.
+    tests/test_reverse.py runs the reverse on such atoms."""
 
     @staticmethod
     def _certified(mu, nu):
