@@ -146,6 +146,11 @@ def build_martingale_coupling(eta: DiscreteMeasure, nu: DiscreteMeasure) -> Mart
     why = _order_failure(eta, nu, "eta", "nu")
     if why is not None:
         raise OrderError(f"martingale coupling: {why}")
+    return _left_curtain(eta, nu)
+
+
+def _left_curtain(eta: DiscreteMeasure, nu: DiscreteMeasure) -> MartingaleCoupling:
+    """build_martingale_coupling's sweep, for a caller that checked the order."""
     s = support_scale(eta, nu)
     # nu's atoms are nodes 1..m; 0 and m + 1 are sentinels. The atoms with
     # mass left form a doubly linked list, and an atom leaves it when its

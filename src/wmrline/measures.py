@@ -408,17 +408,15 @@ def _slack_components(slack, ca, cb, y: np.ndarray, thr: float) -> list[Interval
     whole block that eta and b put on the same atom. Two consecutive contacts
     c_a < c_b therefore bound the interval from b's atom just above level c_a
     to b's atom just below level c_b, and none when that is the same atom.
-    Levels with slack <= thr are contacts, and a contact within 1e-12 of one
-    of b's levels counts as that level.
+    Levels with slack <= thr are contacts; a contact opens an interval above
+    the highest of b's levels within 1e-12 of it and closes one below the
+    lowest, so levels that only sub-ulp weights separate open none.
     """
     hit = slack <= thr
     hit[0] = hit[-1] = True
     z = np.concatenate(([0.0], ca))[hit]
-    grid = np.concatenate(([0.0], cb))
-    near = grid[nearest_atom(grid, z)]
-    z = np.where(np.abs(near - z) <= 1e-12, near, z)
-    lo = cb.searchsorted(z[:-1], side="right")
-    hi = cb.searchsorted(z[1:], side="left")
+    lo = cb.searchsorted(z[:-1] + 1e-12, side="right")
+    hi = cb.searchsorted(z[1:] - 1e-12, side="left")
     keep = lo < hi
     ends = zip(y[lo[keep]].tolist(), y[hi[keep]].tolist())
     return [Interval(x, y) for x, y in ends]
@@ -459,8 +457,6 @@ def wasserstein(a: DiscreteMeasure, b: DiscreteMeasure, rho: float = 1.0) -> flo
     i, j, widths = level_blocks(a, b)
     # left-continuous quantiles are constant on each level block
     gaps = np.abs(a.atoms[i] - b.atoms[j])
-    if rho == 1.0:
-        return float(np.dot(widths, gaps))
     return float(np.dot(widths, gaps**rho) ** (1.0 / rho))
 
 

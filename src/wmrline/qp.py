@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import SolverError
 
+TOL = 1e-11  # feasibility and dual-sign tolerance, times the problem's scale
+
 
 @dataclass
 class QpResult:
@@ -60,15 +62,14 @@ def _kkt_step(H, g, A_w):
     return sol[:n], -sol[n:]
 
 
-def solve_qp(H, c, A_eq, b_eq, A_in, b_in, x0, tol=1e-11, max_iter=None) -> QpResult:
-    """Primal active-set method; x0 must satisfy all constraints.
+def solve_qp(H, c, A_eq, b_eq, A_in, b_in, x0) -> QpResult:
+    """Primal active-set method in one pass; x0 must satisfy all constraints.
 
-    Ties in the blocking-constraint choice are broken by lowest row index so
-    runs are deterministic. Degenerate vertices (more tight rows than the
-    dimension) can make the plain method cycle; on non-convergence the solve
-    is retried with each inequality relaxed by a distinct tiny amount, which
-    breaks the degeneracy while staying far below all downstream tolerances.
-    The KKT residual is always reported against the unrelaxed constraints.
+    Ties in the blocking-constraint choice are broken by lowest row index and
+    the dropped row is the lowest-index one with a negative multiplier, so
+    runs are deterministic. An infeasible start or a run that does not
+    converge raises SolverError: as a test oracle it fails loudly, never
+    with a wrong point.
     """
     H = np.asarray(H, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -76,78 +77,12 @@ def solve_qp(H, c, A_eq, b_eq, A_in, b_in, x0, tol=1e-11, max_iter=None) -> QpRe
     b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
     A_in = np.asarray(A_in, dtype=float).reshape(-1, H.shape[0])
     b_in = np.asarray(b_in, dtype=float).reshape(-1)
-    n_in = A_in.shape[0]
-    # golden-ratio ramp: pairwise-distinct, deterministic relaxations
-    ramp = 1.0 + np.modf(np.arange(1, n_in + 1) * 0.6180339887498949)[0] if n_in else np.empty(0)
-    scale = max(
-        1.0,
-        float(np.abs(np.asarray(x0, dtype=float)).max(initial=0.0)),
-        float(np.abs(b_in).max(initial=0.0)),
-    )
-    last_err = None
-    for shift in (0.0, 1e-11 * scale, 1e-10 * scale):
-        try:
-            res = _solve_qp_once(H, c, A_eq, b_eq, A_in, b_in - shift * ramp, x0, tol, max_iter)
-        except SolverError as err:
-            last_err = err
-            continue
-        if shift:
-            _polish_onto_face(res, H, c, A_eq, b_eq, A_in, b_in, tol * scale)
-        res.kkt_residual = kkt_residual(
-            H, c, A_eq, b_eq, A_in, b_in, res.x, res.mult_eq, res.mult_in
-        )
-        return res
-    raise last_err
-
-
-def _polish_onto_face(res, H, c, A_eq, b_eq, A_in, b_in, feas_tol):
-    """Re-solve the KKT system of the final active face against the original
-    right-hand sides, undoing the anti-degeneracy relaxation. The polished
-    point is kept only if it is feasible and keeps nonnegative multipliers."""
-    active = np.flatnonzero(res.mult_in > 0.0)
-    n = H.shape[0]
-    n_eq = A_eq.shape[0]
-    rows = [A_eq] if n_eq else []
-    rhs = [b_eq] if n_eq else []
-    if active.size:
-        rows.append(A_in[active])
-        rhs.append(b_in[active])
-    A_w = np.vstack(rows) if rows else np.empty((0, n))
-    b_w = np.concatenate(rhs) if rhs else np.empty(0)
-    k = A_w.shape[0]
-    K = np.zeros((n + k, n + k))
-    K[:n, :n] = H
-    if k:
-        K[:n, n:] = A_w.T
-        K[n:, :n] = A_w
-    try:
-        sol = np.linalg.solve(K, np.concatenate([-c, b_w]))
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(K, np.concatenate([-c, b_w]), rcond=None)[0]
-    if not np.all(np.isfinite(sol)):
-        return
-    x = sol[:n]
-    mult = -sol[n:]
-    ok_in = (A_in @ x - b_in).min(initial=0.0) >= -10 * feas_tol if A_in.size else True
-    ok_eq = np.abs(A_eq @ x - b_eq).max(initial=0.0) <= 10 * feas_tol if A_eq.size else True
-    lam_act = mult[n_eq:]
-    if ok_in and ok_eq:
-        # accept on feasibility alone: the recomputed KKT residual reports
-        # any dual deficiency honestly
-        res.x = x
-        res.mult_eq = mult[:n_eq]
-        lam_in = np.zeros(A_in.shape[0])
-        lam_in[active] = np.maximum(lam_act, 0.0)
-        res.mult_in = lam_in
-
-
-def _solve_qp_once(H, c, A_eq, b_eq, A_in, b_in, x0, tol, max_iter) -> QpResult:
     x = np.array(x0, dtype=float)
     n = x.size
     n_eq, n_in = A_eq.shape[0], A_in.shape[0]
 
     scale = max(1.0, float(np.abs(x).max(initial=0.0)), float(np.abs(b_in).max(initial=0.0)))
-    feas_tol = tol * scale
+    feas_tol = TOL * scale
     slack0 = A_in @ x - b_in if n_in else np.empty(0)
     if (n_eq and np.abs(A_eq @ x - b_eq).max() > 1e3 * feas_tol) or (
         n_in and slack0.min() < -1e3 * feas_tol
@@ -166,8 +101,7 @@ def _solve_qp_once(H, c, A_eq, b_eq, A_in, b_in, x0, tol, max_iter) -> QpResult:
             if _independent(basis, A_in[i]):
                 basis.append(A_in[i])
                 working.append(i)
-    if max_iter is None:
-        max_iter = 50 * (n + n_eq + n_in + 1)
+    max_iter = 50 * (n + n_eq + n_in + 1)
 
     lam_in = np.zeros(n_in)
     at_subproblem_opt = False  # set after a full unblocked step: d is 0 up to rounding
@@ -187,7 +121,7 @@ def _solve_qp_once(H, c, A_eq, b_eq, A_in, b_in, x0, tol, max_iter) -> QpResult:
             lam_in[:] = 0.0
             for j, row in enumerate(working):
                 lam_in[row] = lam_w[j]
-            dual_tol = tol * max(1.0, np.abs(g).max())
+            dual_tol = TOL * max(1.0, np.abs(g).max())
             if not working or lam_w.min(initial=0.0) >= -dual_tol:
                 res = kkt_residual(H, c, A_eq, b_eq, A_in, b_in, x, lam_eq, lam_in)
                 return QpResult(x, lam_eq, lam_in, res, it)

@@ -47,12 +47,12 @@ def eta_transfer(
     are re-verified here, as is the finite-atom sharpening
     |x_i - R(x_i)| <= W_1(nu, nu_k) / min weight.
     """
-    from .martingale import build_martingale_coupling
+    from .martingale import _left_curtain
 
     why = _order_failure(eta, nu, "eta", "nu")
     if why is not None:
         raise OrderError(f"eta_transfer requires eta <=_c nu: {why}")
-    M = build_martingale_coupling(eta, nu)
+    M = _left_curtain(eta, nu)  # the coupling's build, less the check just made
     # nu's conditional means under the quantile coupling of (nu, nu_k), which
     # is W_rho-optimal for every rho >= 1, in coordinates centred on nu's
     # first atom so that wide offsets cancel before the sums are formed

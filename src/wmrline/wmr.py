@@ -471,11 +471,11 @@ def oracle_solve(
     order_rows = A_in[n - 1 :]  # monotonicity rows are rechecked directly
     order_rhs = b_in[n - 1 :]
     best_val, best_t = np.inf, None
-    chunk = max(1, int(2e6) // max(1, g) if n == 3 else int(2e6))
-    # enumerate the free coordinates in blocks to bound memory
-    flat_starts = range(0, total, chunk * (g if n == 3 else 1))
-    block = chunk * (g if n == 3 else 1)
-    for start in flat_starts:
+    # enumerate the free coordinates in blocks to bound memory; a later block
+    # replaces the best only when strictly lower, so the first global minimum
+    # in enumeration order wins wherever the blocks split
+    block = int(2e6)
+    for start in range(0, total, block):
         stop = min(start + block, total)
         idx = np.arange(start, stop)
         cols = []

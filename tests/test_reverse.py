@@ -137,6 +137,44 @@ class TestSubUlpWeights:
             reverse_optimizer(mu, nu)
             reverse_optimizer(nu, mu)
 
+    def test_light_atoms_on_both_sides_open_no_spurious_interval(self):
+        # nu's levels at its atoms 2 and 3 differ from level 1's by sub-ulp
+        # weights, and a contact of (nu*, mu) sits within 1e-12 of all three:
+        # snapping it to the nearest one opened the interval (-1.1199, -0.2344)
+        # of nu*, on which the reverse map is constant
+        mu = dm(
+            [-1.3956115593734326, -1.2338253346558379, -0.16184164231232234],
+            [0.5466640968399488, 0.4416368162273287, 0.011699086932722638],
+        )
+        nu = dm(
+            [-2.489166476444975, -1.747284719641054, -1.119903900469436, -0.646108788607024,
+             -0.3762922902836081, 1.5108639113087463, 2.2287330900456848],
+            [0.019708648599842078, 0.11128653853398726, 1.468026492901551e-17,
+             2.5992176224318943e-21, 0.474036583381856, 1.581686635052267e-18, 0.3949682294843147],
+        )
+        r = reverse_optimizer(nu, mu)
+        assert not any(iv.contains(-1.0) for iv in r.irreducibles_mu_nustar)
+        assert measures_close(r.tilde_map.push(r.nu_star), mu)
+
+    def test_random_draws_light_on_either_side(self):
+        rng = np.random.default_rng(5)
+
+        def lighten(m):
+            w = m.weights.copy()
+            light = rng.choice(m.n, min(int(rng.integers(1, 5)), m.n), replace=False)
+            w[light] = 10.0 ** rng.uniform(-22.0, -16.0, light.size)
+            return dm(m.atoms, w / w.sum())
+
+        for _ in range(1500):
+            mu, nu = random_measure(rng), random_measure(rng)
+            side = int(rng.integers(0, 3))  # mu, nu or both
+            if side != 1:
+                mu = lighten(mu)
+            if side != 0:
+                nu = lighten(nu)
+            reverse_optimizer(mu, nu)
+            reverse_optimizer(nu, mu)
+
 
 class TestReverseShapeCheck:
     def test_failure_names_the_worst_pair(self):

@@ -22,7 +22,8 @@ from wmrline import (
     wasserstein,
 )
 
-from wmrline.measures import level_blocks
+from wmrline import measures
+from wmrline.measures import _order_check, level_blocks
 from wmrline.stability import MAP_GAP_EPS, _map_gaps
 
 from conftest import (
@@ -61,6 +62,20 @@ class TestEtaTransfer:
         )
         with pytest.raises(OrderError, match=want):
             eta_transfer(dm([-2, 2]), dm([-1, 1]), dm([-1, 1]))
+
+    def test_a_passing_transfer_checks_the_order_twice(self, monkeypatch, rng):
+        # once for eta <=_c nu, which the coupling's sweep then takes as given,
+        # and once for the transferred eta_k <=_c nu_k
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _order_check(*args)
+
+        eta, nu = random_ordered_pair(rng, max_atoms=6)
+        monkeypatch.setattr(measures, "_order_check", counted)
+        eta_transfer(eta, nu, nu.shift(0.25))
+        assert len(calls) == 2
 
     def test_chain_and_per_atom_bounds(self, rng):
         for _ in range(40):

@@ -12,6 +12,7 @@ from wmrline import (
     MonotoneMap,
     PreconditionError,
     SizeError,
+    SolverError,
     convex_order_leq,
     map_decomposition,
     mean,
@@ -324,13 +325,22 @@ class TestMaximality:
         with pytest.raises(PreconditionError):
             check_maximality(bad, sol, mu, nu)
 
-    def test_projected_random_maps(self, rng):
+    def test_projected_random_maps(self, rng, monkeypatch):
+        solve_qp, solved = qp.solve_qp, []
+
+        def recorded(*args):
+            solved.append(solve_qp(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(qp, "solve_qp", recorded)
         for _ in range(20):
             mu = random_measure(rng, max_atoms=8)
             nu = random_measure(rng, max_atoms=8)
             sol = weak_monotone_rearrangement(mu, nu)
             raw = np.sort(rng.uniform(-4, 4, mu.n))
             cand = project_admissible(raw, mu, nu)
+            # the projection is checked on its own, as well as through the map
+            assert solved[-1].kkt_residual <= 1e-10 * support_scale(mu, nu)
             assert verify_admissible(cand, mu, nu).ok
             assert check_maximality(cand, sol, mu, nu)
 
@@ -472,8 +482,18 @@ class TestHullAgainstQp:
             p, x = mu.weights, mu.atoms
             start = np.full(mu.n, mean(nu))  # the constant map is always feasible
             res = qp.solve_qp(np.diag(2.0 * p), -2.0 * p * x, A_eq, b_eq, A_in, b_in, start)
+            assert res.kkt_residual <= 1e-10 * s
             t = solve_weak_transport(mu, nu).map(x)
             assert np.abs(res.x - t).max() <= 1e-9 * s
+
+    def test_an_infeasible_start_raises(self):
+        # min x^2 over x >= 1 started at 0, then over x_1 + x_2 = 1 started at
+        # the origin: the oracle raises rather than return a point
+        no_rows = np.empty((0, 2))
+        with pytest.raises(SolverError, match="start point is infeasible"):
+            qp.solve_qp(np.eye(1), [0.0], no_rows[:, :1], [], [[1.0]], [1.0], [0.0])
+        with pytest.raises(SolverError, match="start point is infeasible"):
+            qp.solve_qp(np.eye(2), [0.0, 0.0], [[1.0, 1.0]], [1.0], no_rows, [], [0.0, 0.0])
 
     def test_costs_share_the_map_and_keep_their_values(self, rng):
         for _ in range(10):
