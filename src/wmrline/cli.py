@@ -20,7 +20,7 @@ import numpy as np
 from .errors import WmrError
 from .measures import (
     _csv,
-    _order_witness,
+    _order_check,
     interval_index,
     irreducible_components,
     mean,
@@ -119,7 +119,7 @@ def cmd_potential(args, m):
 
 
 def cmd_check_order(args, a, b):
-    witness = _order_witness(a, b)
+    witness = _order_check(a, b)[0]
     if witness is not None:
         witness.pop("index", None)
     return {"schema": 1, "kind": "order_check", "result": witness is None, "witness": witness}

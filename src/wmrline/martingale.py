@@ -27,10 +27,10 @@ from .measures import (
     Interval,
     _csv,
     _csv_rows,
+    _mismatch,
     _order_failure,
     lowest_mass,
     mean,
-    measures_close,
     nearest_atom,
     support_scale,
 )
@@ -350,8 +350,10 @@ def optimality_certificate(
     such a test could fail only by rounding. The rearrangement's values on
     mu's atoms are read from the rearrangement kernel (wmr._rearrangement),
     with no full solve, and no measure or coupling is built."""
-    if not (measures_close(pi.source, mu) and measures_close(pi.target, nu)):
-        raise CouplingError("coupling marginals do not match (mu, nu)")
+    for side, got, want in (("source", pi.source, mu), ("target", pi.target, nu)):
+        why = _mismatch(got, want)
+        if why is not None:
+            raise CouplingError(f"coupling marginals do not match (mu, nu): {side}: {why}")
     gap = float(np.abs(pi.row_barycenters() - _rearrangement(mu, nu)[0]).max())
     if gap <= tol * support_scale(mu, nu):
         return CertificateReport(True, gap)
@@ -418,8 +420,8 @@ def find_two_point_improvement(
     Scans source pairs x_i < x_j whose displacements are out of order
     (x_i - t_i < x_j - t_j) and whose conditional target distributions
     overlap, then searches the competitor curve for a strictly cheaper
-    reallocation of the two conditionals. Returns the first strict
-    improvement found, or None.
+    reallocation of the two conditionals, at each pair's first improving
+    alpha. Returns the largest improvement over all pairs, or None.
     """
     t = np.asarray(map_values, dtype=float)
     x = mu.atoms

@@ -214,7 +214,10 @@ def _level_blocks(a: DiscreteMeasure, b: DiscreteMeasure):
 def _level_slack(i, j, width, t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Partial sums of width * (t_i - y_j) over the blocks (i, j, width) of
     level_blocks(a, b), with b's atoms y and values t on a's atoms, at a's
-    levels c_0 = 0, ..., c_n = 1: the order slack of t(a) against b."""
+    levels c_0 = 0, ..., c_n = 1: the order slack of t(a) against b. For
+    nondecreasing t, t(a) <=_c b iff every slack is >= 0 and the last is 0;
+    the slack is concave between levels (module docstring), and each term is
+    a difference of two atoms, so wide offsets cancel before the sums."""
     gaps = np.bincount(i, weights=width * (t[i] - y[j]), minlength=t.size)
     return np.concatenate(([0.0], gaps.cumsum()))
 
@@ -301,44 +304,39 @@ def potential(m: DiscreteMeasure) -> PiecewiseLinearFn:
 def convex_order_leq(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_TOL) -> bool:
     """True iff a <=_c b: equal means and u_a <= u_b everywhere, both to
     tol * scale, decided on the order slack (module docstring)."""
-    return _order_witness(a, b, tol) is None
+    return _order_check(a, b, tol)[0] is None
 
 
-def _order_witness(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_TOL) -> dict | None:
-    """Why a <=_c b fails at tol * scale, or None when it holds: the two
-    means when they differ, else the index and position of b's atom where
-    u_a - u_b is largest, and that excess."""
-    return _order_check(a, b, tol * support_scale(a, b))[0]
+def _order_check(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_TOL):
+    """(witness, thr, levels) of a <=_c b at thr = tol * support_scale(a, b),
+    from which every order test reads its verdict.
 
-
-def _order_check(a: DiscreteMeasure, b: DiscreteMeasure, thr: float):
-    """(witness, levels) of a <=_c b at the absolute tolerance thr.
-
-    The means are compared first, by two dot products; levels is None on a
-    mismatch. Otherwise it is (slack, ca, cb): _order_slack(a, b, a.atoms)
-    and the cumulative levels of a and b. The excess sup (u_a - u_b) =
-    slack_n - 2 min slack (module docstring) sits at b's left-continuous
-    quantile at the first minimising level, the lowest such atom of b.
+    The means are compared first; on a mismatch the witness holds both and
+    levels is None. Otherwise levels is (slack, ca, cb): a's order slack
+    (_level_slack of a's atoms) and the levels of a and b. The excess
+    sup (u_a - u_b) = slack_n - 2 min slack (module docstring) sits at b's
+    left-continuous quantile at the first minimising level, the lowest such
+    atom of b; the witness, None when the excess is at most thr, names it.
     """
+    thr = tol * support_scale(a, b)
     ma, mb = mean(a), mean(b)
     if abs(ma - mb) > thr:
-        return {"kind": "mean_mismatch", "mean_a": ma, "mean_b": mb}, None
+        return {"kind": "mean_mismatch", "mean_a": ma, "mean_b": mb}, thr, None
     i, j, width, ca, cb = _level_blocks(a, b)
     slack = _level_slack(i, j, width, a.atoms, b.atoms)
     k = int(slack.argmin())
     excess = float(slack[-1] - 2.0 * slack[k])
     if excess <= thr:
-        return None, (slack, ca, cb)
+        return None, thr, (slack, ca, cb)
     j = int(cb.searchsorted(ca[k - 1] if k else 0.0))
     witness = {"kind": "potential_violation", "index": j, "atom": float(b.atoms[j]), "excess": excess}
-    return witness, (slack, ca, cb)
+    return witness, thr, (slack, ca, cb)
 
 
 def _order_failure(a, b, na: str, nb: str, tol: float = ORDER_TOL) -> str | None:
     """Why a <=_c b fails at tol * scale, in words that call a and b na and
     nb, or None when it holds: one _order_check pass gives both."""
-    thr = tol * support_scale(a, b)
-    witness = _order_check(a, b, thr)[0]
+    witness, thr, _ = _order_check(a, b, tol)
     return None if witness is None else _witness_words(witness, na, nb, thr)
 
 
@@ -368,31 +366,16 @@ class Interval:
         return self.lo + margin < y < self.hi - margin
 
 
-def _order_slack(mu: DiscreteMeasure, nu: DiscreteMeasure, t: np.ndarray) -> np.ndarray:
-    """Slack of t(mu) <=_c nu at mu's levels c_0 = 0, ..., c_n = 1:
-    sum_{j<=k} p_j t_j - int_0^{c_k} F_nu^{-1}, formed block by block over
-    level_blocks(mu, nu) (_level_slack), so each term is a difference of two
-    atoms and wide offsets cancel before the partial sums are formed.
-
-    For nondecreasing t, t(mu) <=_c nu iff slack_k >= 0 for k < n and
-    slack_n = 0 (equal means). Between two levels the slack is linear minus
-    convex, hence concave, so nu's levels need no rows of their own; the
-    module docstring gives its duality with the potentials.
-    """
-    return _level_slack(*level_blocks(mu, nu), t, nu.atoms)
-
-
 def irreducible_components(a: DiscreteMeasure, b: DiscreteMeasure) -> list[Interval]:
     """Maximal open intervals where u_a < u_b, for a <=_c b.
 
-    Read off the order slack of a at its cumulative levels (_order_slack with
-    a's own atoms); see _slack_components. Every endpoint is an atom of b.
-    The same slack decides the convex-order precondition (at ORDER_TOL, as
-    convex_order_leq does), and OrderError names its witness when it fails;
-    levels where the slack is at most ORDER_TOL * scale count as contacts.
+    Read off the order slack of a at its cumulative levels (_order_check);
+    see _slack_components. Every endpoint is an atom of b. The same slack
+    decides the convex-order precondition (at ORDER_TOL, as convex_order_leq
+    does), and OrderError names its witness when it fails; levels where the
+    slack is at most ORDER_TOL * scale count as contacts.
     """
-    thr = ORDER_TOL * support_scale(a, b)
-    witness, levels = _order_check(a, b, thr)
+    witness, thr, levels = _order_check(a, b)
     if witness is not None:
         raise OrderError(f"irreducible components: {_witness_words(witness, 'a', 'b', thr)}")
     return _slack_components(*levels, b.atoms, thr)

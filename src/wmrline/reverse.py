@@ -33,7 +33,6 @@ from .measures import (
     lower_convex_envelope,
     mean,
     measure_from_potential,
-    measures_close,
     pl_max,
     potential,
     pushforward,
@@ -100,8 +99,7 @@ def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> list[Int
     if viol:
         raise ConsistencyError(f"reverse map is not increasing and 1-Lipschitz: {'; '.join(viol)}")
     # one convex-order pass gives the verdict, its witness and the components
-    thr = ORDER_TOL * support_scale(mu, nu_star)
-    witness, levels = _order_check(mu, nu_star, thr)
+    witness, thr, levels = _order_check(mu, nu_star)
     if witness is not None:
         raise ConsistencyError(f"reverse solution: {_witness_words(witness, 'mu', 'nu*', thr)}")
     comps = _slack_components(*levels, nu_star.atoms, thr)
@@ -152,13 +150,15 @@ def convex_order_max_map(T: MonotoneMap, S: MonotoneMap, mu: DiscreteMeasure) ->
     """
     Tmu = T.push(mu)
     Smu = S.push(mu)
-    s = support_scale(Tmu, Smu)
-    if abs(mean(Tmu) - mean(Smu)) > ORDER_TOL * s:
-        raise PreconditionError("map maximum needs equal pushforward means")
+    s, gap = support_scale(Tmu, Smu), abs(mean(Tmu) - mean(Smu))
+    if gap > ORDER_TOL * s:
+        why = f"off by {gap:.3e} (tol {ORDER_TOL * s:.3e})"
+        raise PreconditionError(f"map maximum needs equal pushforward means: {why}")
     xi = measure_from_potential(pl_max(potential(Tmu), potential(Smu)))
     values = quantile_assignment(mu, xi)
-    if not measures_close(pushforward(mu, values), xi, 1e-9):
-        raise ConsistencyError("no increasing map realizes the convex-order maximum")
+    why = _mismatch(pushforward(mu, values), xi)
+    if why is not None:
+        raise ConsistencyError(f"no increasing map realizes the convex-order maximum: {why}")
     return MonotoneMap(mu.atoms, values)
 
 
@@ -177,13 +177,15 @@ def convex_order_min_with_maps(
     """
     nu1 = T1.push(eta1)
     nu2 = T2.push(eta2)
-    if not measures_close(nu1, nu2, 1e-9):
-        raise PreconditionError("both maps must push onto the same measure")
+    why = _mismatch(nu1, nu2)
+    if why is not None:
+        raise PreconditionError(f"both maps must push onto the same measure: {why}")
     env = lower_convex_envelope(potential(eta1), potential(eta2))
     eta = measure_from_potential(env)
     values = quantile_assignment(eta, nu1)
-    if not measures_close(pushforward(eta, values), nu1, 1e-9):
-        raise ConsistencyError("no increasing map pushes the minimum onto nu")
+    why = _mismatch(pushforward(eta, values), nu1)
+    if why is not None:
+        raise ConsistencyError(f"no increasing map pushes the minimum onto nu: {why}")
     return eta, MonotoneMap(eta.atoms, values)
 
 

@@ -67,17 +67,18 @@ def eta_transfer(
     R += ref
     eta_k = DiscreteMeasure(R, eta.weights)
 
-    s = support_scale(eta, nu, nu_k)
+    tol = 1e-9 * support_scale(eta, nu, nu_k)
     why = _order_failure(eta_k, nu_k, "eta_k", "nu_k", 1e-8)
     if why is not None:
         raise ConsistencyError(f"transferred measure is not below nu_k in convex order: {why}")
-    w1 = wasserstein(nu, nu_k, 1.0)
-    per_atom = np.abs(eta.atoms - R)
-    if per_atom.max() > w1 / float(eta.weights.min()) + 1e-9 * s:
-        raise ConsistencyError("per-atom transfer bound violated")
+    moved = np.abs(eta.atoms - R)
+    k, bound = int(moved.argmax()), wasserstein(nu, nu_k, 1.0) / float(eta.weights.min()) + tol
+    if moved[k] > bound:
+        raise ConsistencyError(f"per-atom transfer bound violated: atom {k} moved {moved[k]:.3e} (bound {bound:.3e})")
     for rho in (1.0, 2.0):
-        if wasserstein(eta, eta_k, rho) > wasserstein(nu, nu_k, rho) + 1e-9 * s:
-            raise ConsistencyError(f"W_{rho} chain bound violated")
+        w, w_k = wasserstein(eta, eta_k, rho), wasserstein(nu, nu_k, rho)
+        if w > w_k + tol:
+            raise ConsistencyError(f"W_{rho} chain bound violated: off by {w - w_k:.3e} (tol {tol:.3e})")
     return eta_k
 
 

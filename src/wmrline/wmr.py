@@ -33,9 +33,9 @@ from .measures import (
     _level_blocks,
     _level_slack,
     _order_failure,
-    _order_slack,
     _slack_components,
     interval_index,
+    level_blocks,
     mean,
     pushforward,
     support_scale,
@@ -216,11 +216,11 @@ def kkt_residual(mu: DiscreteMeasure, nu: DiscreteMeasure, t, cost: CostSpec) ->
     monotone solves the full one).
     """
     t = np.asarray(t, dtype=float)
-    return _kkt_parts(mu, nu, t, _order_slack(mu, nu, t), cost)
+    return _kkt_parts(mu, nu, t, _level_slack(*level_blocks(mu, nu), t, nu.atoms), cost)
 
 
 def _kkt_parts(mu: DiscreteMeasure, nu: DiscreteMeasure, t, slack, cost: CostSpec) -> float:
-    """kkt_residual of t from its order slack at mu's levels (_order_slack)."""
+    """kkt_residual of t from its order slack at mu's levels (_level_slack)."""
     inner = slack[1:-1]
     d = cost.deriv(mu.atoms - t)
     lam = d[1:] - d[:-1]
@@ -238,7 +238,7 @@ def _kkt_parts(mu: DiscreteMeasure, nu: DiscreteMeasure, t, slack, cost: CostSpe
 
 def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """The weak monotone rearrangement's values t on mu's atoms, their order
-    slack at mu's levels (as _order_slack forms it), moved = False when
+    slack at mu's levels (as _level_slack forms it), moved = False when
     mu <=_c nu to 1e-12 * scale (then t = x exactly), and the blocks
     (i, j, width, cm, cn) of _level_blocks(mu, nu) it read them from, with
     one block more for each atom whose weight is lost to the rounding of the

@@ -33,9 +33,8 @@ from wmrline.measures import (
     ORDER_TOL,
     _level_blocks,
     _merge_close,
+    _level_slack,
     _order_check,
-    _order_slack,
-    _order_witness,
     _prefix_sum,
     level_blocks,
     lowest_mass,
@@ -240,7 +239,7 @@ class TestConvexOrder:
 
 
 def potential_scan_witness(a, b, tol=ORDER_TOL):
-    """_order_witness's verdict from the potentials at b's atoms, where the
+    """_order_check's witness from the potentials at b's atoms, where the
     local maxima of u_a - u_b sit: the mean check, then the first b atom of
     largest excess."""
     s = support_scale(a, b)
@@ -262,7 +261,7 @@ class TestOrderWitness:
         for k, (mu, nu) in enumerate(four_family_pairs(rng, 300)):
             shifted = nu.shift(mean(mu) - mean(nu))
             for a, b in ((mu, nu), (nu, mu), (mu, shifted), (shifted, mu)):
-                got, want = _order_witness(a, b), potential_scan_witness(a, b)
+                got, want = _order_check(a, b)[0], potential_scan_witness(a, b)
                 assert (got is None) == (want is None), k
                 if got is None:
                     continue
@@ -281,7 +280,7 @@ class TestOrderWitness:
         a, b = dm([-1, 1]), dm([-0.5, 0.5])
         want = {"kind": "potential_violation", "index": 0, "atom": -0.5, "excess": 0.5}
         assert (potential_at(a, b.atoms) - potential_at(b, b.atoms)).tolist() == [0.5, 0.5]
-        assert _order_witness(a, b) == want == potential_scan_witness(a, b)
+        assert _order_check(a, b)[0] == want == potential_scan_witness(a, b)
 
     def test_order_tests_evaluate_no_potential(self, monkeypatch):
         mu, nu = spread_pair(np.random.default_rng(3), 40)
@@ -424,7 +423,8 @@ class TestIrreducibleComponents:
             s = support_scale(a, b)
             tol = ORDER_TOL * s
             grid = np.union1d(a.atoms, b.atoms)
-            gaps = np.concatenate((_order_slack(a, b, a.atoms), potential_at(b, grid) - potential_at(a, grid)))
+            slack = _level_slack(*level_blocks(a, b), a.atoms, b.atoms)
+            gaps = np.concatenate((slack, potential_at(b, grid) - potential_at(a, grid)))
             dist = np.abs(a.atoms[:, None] - b.atoms[None, :])
             if not (
                 np.all((np.abs(gaps) <= 1e-14 * s) | (gaps > 10 * tol))

@@ -6,12 +6,15 @@ from wmrline import (
     CostSpec,
     MonotoneMap,
     PreconditionError,
+    build_martingale_coupling,
+    compose_with_map,
     convex_order_leq,
     convex_order_max_map,
     convex_order_min_with_maps,
     lower_convex_envelope,
     measures_close,
     mean,
+    optimality_certificate,
     pl_max,
     potential,
     potential_at,
@@ -176,6 +179,38 @@ class TestSubUlpWeights:
             reverse_optimizer(nu, mu)
 
 
+class TestTargetAtomsNearTheMergeTolerance:
+    """nu's last two atoms are 3.3e-12 apart: above nu's merge tolerance
+    (2.6e-12), below that of nu*, which spans more (5.5e-12). nu* merges the
+    two points that carry them, so its reverse map cannot push it onto nu.
+    Valid input, so a mend turns the pinned failure into an XPASS."""
+
+    mu = dm(
+        [-2.565149625834948, -0.47622457073902424, 0.1880569713733622, 0.9656670716945568],
+        [0.40977708081675424, 0.00566067469858992, 0.30951031090176817, 0.2750519335828877],
+    )
+    nu = dm(
+        [-1.3643652792903938, 0.1951958640093907, 0.9258380075921644, 1.2000411356946017,
+         1.2000411356979086],
+        [0.05810300747762605, 0.01869968325601717, 0.36635302590857244, 0.19942948656109252,
+         0.3574147967966918],
+    )
+
+    @pytest.mark.xfail(strict=True, raises=ConsistencyError, reason="nu* merges two points of nu")
+    def test_reverse(self):
+        reverse_optimizer(self.mu, self.nu)
+
+    def test_reverse_the_other_way(self):
+        r = reverse_optimizer(self.nu, self.mu)
+        assert measures_close(r.tilde_map.push(r.nu_star), self.mu)
+
+    def test_solve_build_compose_certify(self):
+        sol = solve_weak_transport(self.mu, self.nu)
+        mg = build_martingale_coupling(sol.pushforward, self.nu)
+        pi = compose_with_map(self.mu, sol.map, mg)
+        assert optimality_certificate(pi, self.mu, self.nu).ok
+
+
 class TestReverseShapeCheck:
     def test_failure_names_the_worst_pair(self):
         # the shape of the reverse map is checked before any other argument is read
@@ -285,12 +320,23 @@ class TestConvexOrderMaxMap:
         )
         assert np.allclose(R(mu.atoms), 0.8 * mu.atoms)
 
-    def test_mean_mismatch_rejected(self, rng):
+    def test_mean_mismatch_rejected(self):
         mu = dm([-1, 1])
-        with pytest.raises(PreconditionError):
-            convex_order_max_map(
-                MonotoneMap.identity(mu.atoms), MonotoneMap(mu.atoms, mu.atoms + 1.0), mu
-            )
+        want = r"^map maximum needs equal pushforward means: off by 1\.000e\+00 \(tol 3\.000e-09\)$"
+        with pytest.raises(PreconditionError, match=want):
+            convex_order_max_map(MonotoneMap.identity(mu.atoms), MonotoneMap(mu.atoms, mu.atoms + 1.0), mu)
+
+    def test_unrealized_maximum_names_the_worst_atom(self, monkeypatch):
+        # the assignment realizes the maximum by construction; moved by 1 it does not
+        real = reverse.quantile_assignment
+        monkeypatch.setattr(reverse, "quantile_assignment", lambda a, b: real(a, b) + 1.0)
+        mu = dm([-1, 1])
+        want = (
+            r"^no increasing map realizes the convex-order maximum: "
+            r"position of atom 0 off by 1\.000e\+00 \(tol 3\.000e-09\)$"
+        )
+        with pytest.raises(ConsistencyError, match=want):
+            convex_order_max_map(MonotoneMap.identity(mu.atoms), MonotoneMap.identity(mu.atoms), mu)
 
     def test_potential_is_exact_pointwise_max(self, rng):
         for _ in range(30):
@@ -338,10 +384,27 @@ class TestConvexOrderMinWithMaps:
 
     def test_pushforward_mismatch_rejected(self):
         eta = dm([-1, 1])
-        with pytest.raises(PreconditionError):
+        want = (
+            r"^both maps must push onto the same measure: "
+            r"position of atom 0 off by 1\.000e\+00 \(tol 3\.000e-09\)$"
+        )
+        with pytest.raises(PreconditionError, match=want):
             convex_order_min_with_maps(
                 eta, MonotoneMap.identity(eta.atoms), eta, MonotoneMap(eta.atoms, eta.atoms + 1.0)
             )
+
+    def test_unrealized_minimum_names_the_worst_atom(self, monkeypatch):
+        # the assignment pushes the minimum onto nu by construction; moved by 1 it does not
+        real = reverse.quantile_assignment
+        monkeypatch.setattr(reverse, "quantile_assignment", lambda a, b: real(a, b) + 1.0)
+        eta = dm([-1, 1])
+        T = MonotoneMap.identity(eta.atoms)
+        want = (
+            r"^no increasing map pushes the minimum onto nu: "
+            r"position of atom 0 off by 1\.000e\+00 \(tol 3\.000e-09\)$"
+        )
+        with pytest.raises(ConsistencyError, match=want):
+            convex_order_min_with_maps(eta, T, eta, T)
 
     def test_envelope_exact_and_pushforward_exact(self, rng):
         # equal-mean inputs: otherwise the envelope is not itself a potential

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wmrline import (
+    ConsistencyError,
     CostSpec,
     DiscreteMeasure,
     DomainError,
@@ -22,7 +23,7 @@ from wmrline import (
     wasserstein,
 )
 
-from wmrline import measures
+from wmrline import measures, stability
 from wmrline.measures import _order_check, level_blocks
 from wmrline.stability import MAP_GAP_EPS, _map_gaps
 
@@ -62,6 +63,24 @@ class TestEtaTransfer:
         )
         with pytest.raises(OrderError, match=want):
             eta_transfer(dm([-2, 2]), dm([-1, 1]), dm([-1, 1]))
+
+    def test_per_atom_bound_failure_names_the_atom_and_bound(self, monkeypatch):
+        # the bound holds by construction; W_1(nu, nu_k) read as 0 breaks it
+        eta, nu = dirac(0.0), dm([-1, 1])
+        real = stability.wasserstein
+        monkeypatch.setattr(stability, "wasserstein", lambda a, b, rho: 0.0 if a is nu else real(a, b, rho))
+        want = r"^per-atom transfer bound violated: atom 0 moved 5\.000e-01 \(bound 2\.500e-09\)$"
+        with pytest.raises(ConsistencyError, match=want):
+            eta_transfer(eta, nu, nu.shift(0.5))
+
+    def test_chain_bound_failure_names_the_margin(self, monkeypatch):
+        # the bound holds by construction; W_rho(eta, eta_k) read 1 too high breaks it
+        eta, nu = dirac(0.0), dm([-1, 1])
+        real = stability.wasserstein
+        monkeypatch.setattr(stability, "wasserstein", lambda a, b, rho: real(a, b, rho) + (a is eta))
+        want = r"^W_1\.0 chain bound violated: off by 1\.000e\+00 \(tol 2\.500e-09\)$"
+        with pytest.raises(ConsistencyError, match=want):
+            eta_transfer(eta, nu, nu.shift(0.5))
 
     def test_a_passing_transfer_checks_the_order_twice(self, monkeypatch, rng):
         # once for eta <=_c nu, which the coupling's sweep then takes as given,
