@@ -58,6 +58,7 @@ class DiscreteMeasure:
 
     atoms: np.ndarray
     weights: np.ndarray
+    _levels = None  # cumulative(), formed on its first call (not a field)
 
     def __post_init__(self):
         atoms = _as_1d(self.atoms)
@@ -100,10 +101,14 @@ class DiscreteMeasure:
 
     def cumulative(self) -> np.ndarray:
         """Cumulative weights (_prefix_sum), nondecreasing and at most 1; the
-        last entry is exactly 1 (a partial sum can overshoot 1 before it)."""
-        c = np.minimum(_prefix_sum(self.weights), 1.0)
-        c[-1] = 1.0
-        return c
+        last entry is exactly 1 (a partial sum can overshoot 1 before it).
+        Formed on the first call, then kept read-only on the measure."""
+        if self._levels is None:
+            c = np.minimum(_prefix_sum(self.weights), 1.0)
+            c[-1] = 1.0
+            c.setflags(write=False)
+            object.__setattr__(self, "_levels", c)
+        return self._levels
 
     def shift(self, h: float) -> "DiscreteMeasure":
         return DiscreteMeasure(self.atoms + float(h), self.weights)
@@ -160,6 +165,8 @@ def measures_close(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = 1e-9) ->
 def _mismatch(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = 1e-9) -> str | None:
     """Why measures_close(a, b, tol) fails, or None when it holds: the atom
     counts, or the worst atom position or weight and its margin."""
+    if a is b:
+        return None
     if a.n != b.n:
         return f"{a.n} atoms against {b.n}"
     s = support_scale(a, b)
@@ -196,19 +203,13 @@ def level_blocks(a: DiscreteMeasure, b: DiscreteMeasure):
     on the k-th block, of width width[k], a's left-continuous quantile is
     atom i[k] and b's is atom j[k]. i and j are nondecreasing, the widths are
     positive and sum to 1 (the comonotone coupling of a and b)."""
-    return _level_blocks(a, b)[:3]
-
-
-def _level_blocks(a: DiscreteMeasure, b: DiscreteMeasure):
-    """level_blocks(a, b) followed by the cumulative levels ca, cb it merged."""
-    ca, cb = a.cumulative(), b.cumulative()
-    levels = np.concatenate((ca, cb))
+    levels = np.concatenate((a.cumulative(), b.cumulative()))
     order = levels.argsort(kind="stable")  # merges the two sorted runs
     levels = levels[order]
     step = levels - np.concatenate(([0.0], levels[:-1]))
     k = step.nonzero()[0]  # the first copy of each distinct level
     i = np.concatenate(([0], (order < a.n).cumsum()))[k]  # a's levels below it
-    return i, k - i, step[k], ca, cb
+    return i, k - i, step[k]
 
 
 def _level_slack(i, j, width, t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -308,29 +309,28 @@ def convex_order_leq(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_
 
 
 def _order_check(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = ORDER_TOL):
-    """(witness, thr, levels) of a <=_c b at thr = tol * support_scale(a, b),
+    """(witness, thr, slack) of a <=_c b at thr = tol * support_scale(a, b),
     from which every order test reads its verdict.
 
     The means are compared first; on a mismatch the witness holds both and
-    levels is None. Otherwise levels is (slack, ca, cb): a's order slack
-    (_level_slack of a's atoms) and the levels of a and b. The excess
-    sup (u_a - u_b) = slack_n - 2 min slack (module docstring) sits at b's
-    left-continuous quantile at the first minimising level, the lowest such
-    atom of b; the witness, None when the excess is at most thr, names it.
+    slack is None. Otherwise slack is a's order slack (_level_slack of a's
+    atoms). The excess sup (u_a - u_b) = slack_n - 2 min slack (module
+    docstring) sits at b's left-continuous quantile at the first minimising
+    level, the lowest such atom of b; the witness, None when the excess is
+    at most thr, names it.
     """
     thr = tol * support_scale(a, b)
     ma, mb = mean(a), mean(b)
     if abs(ma - mb) > thr:
         return {"kind": "mean_mismatch", "mean_a": ma, "mean_b": mb}, thr, None
-    i, j, width, ca, cb = _level_blocks(a, b)
-    slack = _level_slack(i, j, width, a.atoms, b.atoms)
+    slack = _level_slack(*level_blocks(a, b), a.atoms, b.atoms)
     k = int(slack.argmin())
     excess = float(slack[-1] - 2.0 * slack[k])
     if excess <= thr:
-        return None, thr, (slack, ca, cb)
-    j = int(cb.searchsorted(ca[k - 1] if k else 0.0))
+        return None, thr, slack
+    j = int(b.cumulative().searchsorted(a.cumulative()[k - 1] if k else 0.0))
     witness = {"kind": "potential_violation", "index": j, "atom": float(b.atoms[j]), "excess": excess}
-    return witness, thr, (slack, ca, cb)
+    return witness, thr, slack
 
 
 def _order_failure(a, b, na: str, nb: str, tol: float = ORDER_TOL) -> str | None:
@@ -375,19 +375,19 @@ def irreducible_components(a: DiscreteMeasure, b: DiscreteMeasure) -> list[Inter
     does), and OrderError names its witness when it fails; levels where the
     slack is at most ORDER_TOL * scale count as contacts.
     """
-    witness, thr, levels = _order_check(a, b)
+    witness, thr, slack = _order_check(a, b)
     if witness is not None:
         raise OrderError(f"irreducible components: {_witness_words(witness, 'a', 'b', thr)}")
-    return _slack_components(*levels, b.atoms, thr)
+    return _slack_components(slack, a, b, thr)
 
 
-def _slack_components(slack, ca, cb, y: np.ndarray, thr: float) -> list[Interval]:
-    """Irreducible intervals of eta <=_c b from eta's order slack at 0 and its
-    cumulative levels ca, and b's levels cb and atoms y, in one O(n + m) pass.
+def _slack_components(slack, a: DiscreteMeasure, b: DiscreteMeasure, thr: float) -> list[Interval]:
+    """Irreducible intervals of eta = t(a) <=_c b, for nondecreasing t, from
+    t's order slack at 0 and a's levels, and b's levels and atoms, in O(n + m).
 
     u_b(y) = u_eta(y) exactly where a contact level (slack 0) lies in
-    [F_b(y-), F_b(y)]. Between two of eta's levels the slack is linear minus
-    convex, hence concave, so contacts occur only at eta's levels or on a
+    [F_b(y-), F_b(y)]. Between two of a's levels the slack is linear minus
+    convex, hence concave, so contacts occur only at a's levels or on a
     whole block that eta and b put on the same atom. Two consecutive contacts
     c_a < c_b therefore bound the interval from b's atom just above level c_a
     to b's atom just below level c_b, and none when that is the same atom.
@@ -397,7 +397,8 @@ def _slack_components(slack, ca, cb, y: np.ndarray, thr: float) -> list[Interval
     """
     hit = slack <= thr
     hit[0] = hit[-1] = True
-    z = np.concatenate(([0.0], ca))[hit]
+    z = np.concatenate(([0.0], a.cumulative()))[hit]
+    cb, y = b.cumulative(), b.atoms
     lo = cb.searchsorted(z[:-1] + 1e-12, side="right")
     hi = cb.searchsorted(z[1:] - 1e-12, side="left")
     keep = lo < hi

@@ -71,7 +71,7 @@ def reverse_optimizer(
     the blocks are read from one wmr._rearrangement call, with no full solve.
     """
     cost = cost or CostSpec.quadratic()
-    t, _, _, (i, j, width, _, _) = _rearrangement(mu, nu)
+    t, _, _, (i, j, width) = _rearrangement(mu, nu)
     pos = nu.atoms[j] + (mu.atoms - t)[i]
     order = pos.argsort(kind="stable")
     pos, img = pos[order], nu.atoms[j][order]
@@ -99,10 +99,10 @@ def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> list[Int
     if viol:
         raise ConsistencyError(f"reverse map is not increasing and 1-Lipschitz: {'; '.join(viol)}")
     # one convex-order pass gives the verdict, its witness and the components
-    witness, thr, levels = _order_check(mu, nu_star)
+    witness, thr, slack = _order_check(mu, nu_star)
     if witness is not None:
         raise ConsistencyError(f"reverse solution: {_witness_words(witness, 'mu', 'nu*', thr)}")
-    comps = _slack_components(*levels, nu_star.atoms, thr)
+    comps = _slack_components(slack, mu, nu_star, thr)
     why = _mismatch(DiscreteMeasure(images, wts), nu, 1e-9)
     if why is not None:
         raise ConsistencyError(f"reverse map does not push nu* onto nu: {why}")

@@ -30,7 +30,6 @@ from .measures import (
     ORDER_TOL,
     DiscreteMeasure,
     Interval,
-    _level_blocks,
     _level_slack,
     _order_failure,
     _slack_components,
@@ -240,11 +239,11 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """The weak monotone rearrangement's values t on mu's atoms, their order
     slack at mu's levels (as _level_slack forms it), moved = False when
     mu <=_c nu to 1e-12 * scale (then t = x exactly), and the blocks
-    (i, j, width, cm, cn) of _level_blocks(mu, nu) it read them from, with
-    one block more for each atom whose weight is lost to the rounding of the
-    levels (its level c equals the one before, so it has no block): its own
-    weight, at mu's atom just below c for one of nu's, at nu's atom just
-    above c for one of mu's, so the blocks stay a monotone coupling.
+    (i, j, width) of level_blocks(mu, nu) it read them from, with one block
+    more for each atom whose weight is lost to the rounding of the levels
+    (its level c equals the one before, so it has no block): its own weight,
+    at mu's atom just below c for one of nu's, at nu's atom just above c for
+    one of mu's, so the blocks stay a monotone coupling.
 
     Atom i's blocks have mass den_i and displacement sum num_i = sum width *
     (y_j - x_i). Pool-adjacent violators merges two adjacent pools while the
@@ -254,14 +253,14 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     where a weight tending to 0 would: at its own displacement, clipped to
     its neighbours' (so a lost last atom stays inside nu's hull).
     """
-    x, y = mu.atoms, nu.atoms
-    i, j, width, cm, cn = _level_blocks(mu, nu)
+    x, y, cm, cn = mu.atoms, nu.atoms, mu.cumulative(), nu.cumulative()
+    i, j, width = level_blocks(mu, nu)
     lm, ln = (cm[1:] == cm[:-1]).nonzero()[0] + 1, (cn[1:] == cn[:-1]).nonzero()[0] + 1
     if lm.size or ln.size:
         i = np.concatenate((i, lm, cm.searchsorted(cn[ln])))
         j = np.concatenate((j, np.minimum(cn.searchsorted(cm[lm], side="right"), nu.n - 1), ln))
         width = np.concatenate((width, mu.weights[lm], nu.weights[ln]))
-    blocks = i, j, width, cm, cn
+    blocks = i, j, width
     num = np.bincount(i, weights=width * (y[j] - x[i]), minlength=mu.n)
     slack = np.concatenate(([0.0], -num.cumsum()))  # _level_slack of t = x
     tol = 1e-12 * support_scale(mu, nu)
@@ -298,7 +297,7 @@ def solve_weak_transport(
     """
     cost = cost or CostSpec.quadratic()
     x, p = mu.atoms, mu.weights
-    t, slack, moved, (*_, cm, cn) = _rearrangement(mu, nu)
+    t, slack, moved, _ = _rearrangement(mu, nu)
     residual = 0.0
     if moved:
         certified = cost if cost.strictly_convex else CostSpec.quadratic()
@@ -306,7 +305,7 @@ def solve_weak_transport(
 
     value = float(np.dot(p, cost.value(x - t)))
     push = pushforward(mu, t)
-    irre = _slack_components(slack, cm, cn, nu.atoms, ORDER_TOL * support_scale(push, nu))
+    irre = _slack_components(slack, mu, nu, ORDER_TOL * support_scale(push, nu))
     return WeakSolution(
         map=MonotoneMap(x, t),
         pushforward=push,

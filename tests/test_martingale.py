@@ -696,6 +696,20 @@ class TestOptimalityCertificate:
             pi = compose_with_map(mu, sol.map, mg)
             assert optimality_certificate(pi, mu, nu).ok
 
+    def test_same_report_on_copies_of_the_marginals(self):
+        # compose_with_map builds pi on the very mu and nu it is given, so
+        # the marginal checks compare each with itself; on copies they
+        # compare the arrays, and the report must not differ
+        rng = np.random.default_rng(9106)
+        for mu, nu in (mix_pair(rng, 12, 9) for _ in range(20)):
+            sol = solve_weak_transport(mu, nu)
+            pi = compose_with_map(mu, sol.map, build_martingale_coupling(sol.pushforward, nu))
+            assert pi.source is mu and pi.target is nu
+            for got in (pi, product_coupling(mu, nu)):
+                a, b = DiscreteMeasure(mu.atoms, mu.weights), DiscreteMeasure(nu.atoms, nu.weights)
+                twin = Coupling(a, b, got.rows, got.cols, got.mass)
+                assert optimality_certificate(got, mu, nu) == optimality_certificate(twin, mu, nu)
+
     def test_quantile_coupling_passes_here(self):
         pi = Coupling(dm([-2, 2]), dm([-1, 1]), np.array([0, 1]), np.array([0, 1]), np.array([0.5, 0.5]))
         assert optimality_certificate(pi, dm([-2, 2]), dm([-1, 1])).ok

@@ -10,19 +10,24 @@ from wmrline import (
     MonotoneMap,
     OrderError,
     build_martingale_coupling,
+    compose_with_map,
     convex_order_leq,
+    decompose_martingale,
     eta_transfer,
     irreducible_components,
     mean,
     measure_from_potential,
     measures_close,
+    optimality_certificate,
     potential,
     potential_at,
     quantile,
     quantize,
     read_measure_csv,
+    solve_weak_transport,
     support_scale,
     verify_admissible,
+    verify_slope1_characterization,
     wasserstein,
     weak_monotone_rearrangement,
     write_measure_csv,
@@ -31,7 +36,6 @@ from wmrline import measures
 from wmrline.measures import (
     MERGE_TOL,
     ORDER_TOL,
-    _level_blocks,
     _merge_close,
     _level_slack,
     _order_check,
@@ -307,9 +311,9 @@ class TestOrderWitness:
 
         def counted(a, b):
             calls.append(1)
-            return _level_blocks(a, b)
+            return level_blocks(a, b)
 
-        monkeypatch.setattr(measures, "_level_blocks", counted)
+        monkeypatch.setattr(measures, "level_blocks", counted)
         mu, nu = spread_pair(np.random.default_rng(4), 40)
         irreducible_components(mu, nu)
         assert len(calls) == 1
@@ -585,6 +589,36 @@ class TestCumulative:
             c = tiny_tail_measure(rng).cumulative()
             assert np.all(np.diff(c) >= 0.0) and c[-1] == 1.0
 
+    def test_formed_once_and_read_only(self):
+        m = dm(np.arange(5.0), TINY_TAIL)
+        c = m.cumulative()
+        assert m.cumulative() is c
+        with pytest.raises(ValueError):
+            c[0] = 0.5
+        assert c[0] == m.weights[0]
+
+    def test_bit_equal_to_the_formula(self, rng):
+        measures_ = [tiny_tail_measure(rng) for _ in range(200)]
+        measures_ += [m for pair in four_family_pairs(rng, 200) for m in pair]
+        for m in measures_:
+            want = np.minimum(_prefix_sum(m.weights), 1.0)
+            want[-1] = 1.0
+            assert m.cumulative().tobytes() == want.tobytes()
+
+    def test_a_new_measure_forms_its_own_levels(self, monkeypatch):
+        calls = []
+
+        def counted(w):
+            calls.append(w.size)
+            return _prefix_sum(w)
+
+        m = dm(np.arange(5.0), TINY_TAIL)
+        c = m.cumulative()
+        monkeypatch.setattr(measures, "_prefix_sum", counted)
+        twin = DiscreteMeasure(m.atoms, m.weights)
+        assert twin.cumulative() is twin.cumulative() is not c
+        assert m.cumulative() is c and calls == [5]
+
     def test_solve_on_a_tiny_tail_is_certified(self):
         mu, nu = dm(np.arange(5.0), TINY_TAIL), dm([0.0, 4.0])
         sol = weak_monotone_rearrangement(mu, nu)
@@ -616,11 +650,35 @@ class TestPrefixSum:
         mu, nu = spread_pair(rng, 40) if ordered else mix_pair(rng, 40, 30)
         sol = weak_monotone_rearrangement(mu, nu)
         assert calls == [mu.n, nu.n]
-        irreducible_components(sol.pushforward, nu)
-        assert calls[2:] == [sol.pushforward.n, nu.n]
+        irreducible_components(sol.pushforward, nu)  # nu's levels are kept
+        assert calls[2:] == [sol.pushforward.n]
         with pytest.raises(OrderError):  # the witness reads the same levels
             irreducible_components(nu, sol.pushforward)
-        assert len(calls) == 6
+        assert len(calls) == 3
+
+    def test_each_measure_summed_once_across_calls(self, monkeypatch):
+        calls = []
+
+        def counted(w):
+            calls.append(w.size)
+            return _prefix_sum(w)
+
+        monkeypatch.setattr(measures, "_prefix_sum", counted)
+        rng = np.random.default_rng(4107)
+        mu, nu = mix_pair(rng, 30, 25)
+        for summed in (3, 1):  # mu, nu and eta; then only the new eta
+            del calls[:]
+            sol = solve_weak_transport(mu, nu)
+            mg = build_martingale_coupling(sol.pushforward, nu)
+            assert optimality_certificate(compose_with_map(mu, sol.map, mg), mu, nu).ok
+            decompose_martingale(mg)
+            assert len(calls) == summed
+        del calls[:]
+        mu, nu = spread_pair(rng, 40)  # solve, components and verifier, as at scale
+        sol = solve_weak_transport(mu, nu)
+        irreducible_components(mu, nu)
+        assert verify_slope1_characterization(sol, mu, nu).ok
+        assert calls == [mu.n, nu.n, mu.n]  # the last is the verifier's pushforward
 
 
 class TestLevelBlocksMerge:

@@ -36,7 +36,7 @@ from conftest import (
     spread_pair,
 )
 from wmrline import measures, reverse, wmr
-from wmrline.measures import PiecewiseLinearFn, _drop_collinear, _level_blocks, _lower_hull, quantiles_at
+from wmrline.measures import PiecewiseLinearFn, _drop_collinear, _lower_hull, level_blocks, quantiles_at
 from wmrline.reverse import _verify_reverse
 
 
@@ -290,10 +290,10 @@ class TestReverseClosedForm:
 
         def counted(a, b):
             pairs.append((a, b))
-            return _level_blocks(a, b)
+            return level_blocks(a, b)
 
         for module in (measures, wmr, reverse):
-            monkeypatch.setattr(module, "_level_blocks", counted, raising=False)
+            monkeypatch.setattr(module, "level_blocks", counted, raising=False)
         mu, nu = nth_mix_pair(1, 2, (30,))
         reverse_optimizer(mu, nu)
         assert sum(a is mu and b is nu for a, b in pairs) == 1
