@@ -25,8 +25,10 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     Interval,
+    _as_1d,
     _csv,
     _csv_rows,
+    _freeze,
     _mismatch,
     _order_failure,
     lowest_mass,
@@ -52,13 +54,14 @@ class Coupling:
     rows: np.ndarray  # source atom indices
     cols: np.ndarray  # target atom indices
     mass: np.ndarray
+    __setstate__ = _freeze
 
     def __post_init__(self):
         # copies, so the caller's arrays stay theirs and ours stay fixed
-        rows = np.array(self.rows, dtype=np.int64).reshape(-1)
-        cols = np.array(self.cols, dtype=np.int64).reshape(-1)
-        mass = np.array(self.mass, dtype=float).reshape(-1)
-        if not (rows.size == cols.size == mass.size):
+        rows = np.array(self.rows, dtype=np.int64, ndmin=1)
+        cols = np.array(self.cols, dtype=np.int64, ndmin=1)
+        mass = _as_1d(self.mass)
+        if not (rows.shape == cols.shape == mass.shape):
             raise CouplingError("rows, cols and mass must have equal length")
         if (mass <= 0.0).any():
             raise CouplingError("all coupling masses must be positive")
@@ -67,11 +70,7 @@ class Coupling:
             # a stable lexsort of entries in (row, col) order is the identity
             order = np.lexsort((cols, rows))
             rows, cols, mass = rows[order], cols[order], mass[order]
-        for arr in (rows, cols, mass):
-            arr.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "mass", mass)
+        _freeze(self, {"rows": rows, "cols": cols, "mass": mass})
         n, m = self.source.n, self.target.n
         try:  # bincount rejects a negative index, and one past the end lengthens its output
             rs = np.bincount(rows, weights=mass, minlength=n)
@@ -423,7 +422,7 @@ def find_two_point_improvement(
     reallocation of the two conditionals, at each pair's first improving
     alpha. Returns the largest improvement over all pairs, or None.
     """
-    t = np.asarray(map_values, dtype=float)
+    t = _as_1d(map_values)
     x = mu.atoms
     s = support_scale(mu, mg.target)
     pos = nearest_atom(mg.source.atoms, t)

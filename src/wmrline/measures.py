@@ -36,14 +36,23 @@ MERGE_TOL = 1e-12
 
 
 def _as_1d(x) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1)
+    """The one intake of a caller's float array: a new 1-D array of finite
+    floats (a scalar becomes one entry), so the caller's array stays theirs."""
+    a = np.array(x, dtype=float, ndmin=1)
     if a.ndim != 1:
         raise ValueError("expected a 1-D array of reals")
     if not np.isfinite(a).all():
         raise ValueError("entries must be finite")
     return a
+
+
+def _freeze(obj, fields: dict) -> None:
+    """Store fields on the frozen dataclass obj, every array among them read-only;
+    also the value classes' __setstate__, so pickle and deepcopy copies stay frozen."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,7 @@ class DiscreteMeasure:
     atoms: np.ndarray
     weights: np.ndarray
     _levels = None  # cumulative(), formed on its first call (not a field)
+    __setstate__ = _freeze
 
     def __post_init__(self):
         atoms = _as_1d(self.atoms)
@@ -72,7 +82,7 @@ class DiscreteMeasure:
         keep = weights > 0.0
         if not keep.any():
             raise ValueError("all weights vanish")
-        atoms, weights = atoms[keep], weights[keep]  # copies: the caller's arrays stay theirs
+        atoms, weights = atoms[keep], weights[keep]
         gaps = atoms[1:] - atoms[:-1]
         if (gaps < 0.0).any():  # a stable argsort of sorted atoms is the identity
             order = atoms.argsort(kind="stable")
@@ -85,11 +95,7 @@ class DiscreteMeasure:
         total = float(weights.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total!r}, not 1")
-        weights = weights / total
-        atoms.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+        _freeze(self, {"atoms": atoms, "weights": weights / total})
 
     @property
     def n(self) -> int:
@@ -106,8 +112,7 @@ class DiscreteMeasure:
         if self._levels is None:
             c = np.minimum(_prefix_sum(self.weights), 1.0)
             c[-1] = 1.0
-            c.setflags(write=False)
-            object.__setattr__(self, "_levels", c)
+            _freeze(self, {"_levels": c})
         return self._levels
 
     def shift(self, h: float) -> "DiscreteMeasure":
@@ -253,6 +258,7 @@ class PiecewiseLinearFn:
     values: np.ndarray
     left_slope = -1.0
     right_slope = 1.0
+    __setstate__ = _freeze
 
     def __post_init__(self):
         bp = _as_1d(self.breakpoints)
@@ -264,10 +270,7 @@ class PiecewiseLinearFn:
         span = max(1.0, float(bp[-1] - bp[0]), float(np.abs(vals).max()))
         if np.any(np.diff(self.slope_chain(bp, vals)) < -1e-9 * span):
             raise ValueError("slopes must be nondecreasing for a convex fn")
-        bp.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        _freeze(self, {"breakpoints": bp, "values": vals})
 
     @staticmethod
     def slope_chain(bp, vals) -> np.ndarray:
@@ -436,8 +439,8 @@ def nearest_atom(grid: np.ndarray, points) -> np.ndarray:
 
 def wasserstein(a: DiscreteMeasure, b: DiscreteMeasure, rho: float = 1.0) -> float:
     """rho-Wasserstein distance, exact on the merged cumulative-weight grid."""
-    if rho < 1.0:
-        raise DomainError(f"wasserstein order must be >= 1, got {rho!r}")
+    if not 1.0 <= rho < np.inf:  # NaN fails both comparisons
+        raise DomainError(f"wasserstein order must be finite and >= 1, got {rho!r}")
     i, j, widths = level_blocks(a, b)
     # left-continuous quantiles are constant on each level block
     gaps = np.abs(a.atoms[i] - b.atoms[j])

@@ -174,8 +174,8 @@ class PerturbationLadder:
             raise DomainError(f"unknown ladder kind {self.kind!r}")
         if self.length < 1:
             raise DomainError("ladder needs at least one rung")
-        if self.rho < 1.0:
-            raise DomainError("rho must be >= 1")
+        if not 1.0 <= self.rho < np.inf:  # NaN fails both comparisons
+            raise DomainError(f"rho must be finite and >= 1, got {self.rho!r}")
 
     def rung(self, k: int) -> tuple[DiscreteMeasure, DiscreteMeasure]:
         if not 1 <= k <= self.length:

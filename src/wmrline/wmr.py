@@ -30,6 +30,8 @@ from .measures import (
     ORDER_TOL,
     DiscreteMeasure,
     Interval,
+    _as_1d,
+    _freeze,
     _level_slack,
     _order_failure,
     _slack_components,
@@ -58,12 +60,10 @@ class CostSpec:
     def __post_init__(self):
         if self.kind not in ("quadratic", "quartic", "power"):
             raise DomainError(f"unknown cost kind {self.kind!r}")
-        if self.kind == "quadratic":
-            object.__setattr__(self, "rho", 2.0)
-        elif self.kind == "quartic":
-            object.__setattr__(self, "rho", 4.0)
-        elif self.rho < 1.0:
-            raise DomainError(f"power cost needs rho >= 1, got {self.rho!r}")
+        if self.kind != "power":
+            _freeze(self, {"rho": 2.0 if self.kind == "quadratic" else 4.0})
+        elif not 1.0 <= self.rho < np.inf:  # NaN fails both comparisons
+            raise DomainError(f"power cost needs a finite rho >= 1, got {self.rho!r}")
 
     @classmethod
     def quadratic(cls) -> "CostSpec":
@@ -119,10 +119,10 @@ class MonotoneMap:
 
     knots_x: np.ndarray
     knots_t: np.ndarray
+    __setstate__ = _freeze
 
     def __post_init__(self):
-        x = np.array(self.knots_x, dtype=float).reshape(-1)
-        t = np.array(self.knots_t, dtype=float).reshape(-1)
+        x, t = _as_1d(self.knots_x), _as_1d(self.knots_t)
         if x.size == 0 or x.shape != t.shape:
             raise ValueError("knots need equal, positive length")
         dx = x[1:] - x[:-1]
@@ -132,10 +132,7 @@ class MonotoneMap:
             dx = x[1:] - x[:-1]
         if (dx <= 0).any():
             raise ValueError("knot positions must be strictly increasing")
-        x.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "knots_x", x)
-        object.__setattr__(self, "knots_t", t)
+        _freeze(self, {"knots_x": x, "knots_t": t})
 
     @classmethod
     def identity(cls, points) -> "MonotoneMap":
@@ -214,7 +211,7 @@ def kkt_residual(mu: DiscreteMeasure, nu: DiscreteMeasure, t, cost: CostSpec) ->
     (monotonicity has no row: a KKT point of the relaxed problem that is
     monotone solves the full one).
     """
-    t = np.asarray(t, dtype=float)
+    t = _as_1d(t)
     return _kkt_parts(mu, nu, t, _level_slack(*level_blocks(mu, nu), t, nu.atoms), cost)
 
 
@@ -339,7 +336,7 @@ def _shape_check(x: np.ndarray, t: np.ndarray, tol: float) -> tuple[bool, bool, 
     monotone = bool((dt >= -tol).all())
     if not monotone:
         i = int(dt.argmin())
-        viol.append(f"decreasing between atoms {x[i]} and {x[i + 1]}")
+        viol.append(f"decreasing by {-dt[i]:.3e} between atoms {x[i]} and {x[i + 1]}")
     lip = bool((dt <= dx + tol).all())
     if not lip:
         i = int((dt - dx).argmax())
@@ -514,7 +511,7 @@ def project_admissible(
 
     The constant map at mean(nu) is always feasible and seeds the QP.
     """
-    z = np.asarray(values, dtype=float).reshape(-1)
+    z = _as_1d(values)
     if z.size != mu.n:
         raise PreconditionError("need one candidate value per atom of mu")
     A_eq, b_eq, A_in, b_in = transport_polyhedron(mu, nu, lipschitz=True)

@@ -61,6 +61,23 @@ class TestExitCodes:
     def test_missing_file_is_exit_two(self, measure_files):
         assert main(["wmr", "/nonexistent/mu.csv", measure_files["nu2"]]) == 2
 
+    @pytest.mark.parametrize(
+        "cmd, flags, want",
+        [
+            ("value", ["--cost", "power", "--rho", "nan"], "power cost needs a finite rho >= 1, got nan"),
+            ("value", ["--cost", "power", "--rho", "inf"], "power cost needs a finite rho >= 1, got inf"),
+            ("stability", ["--ladder-rho", "nan"], "rho must be finite and >= 1, got nan"),
+        ],
+        ids=["rho-nan", "rho-inf", "ladder-rho-nan"],
+    )
+    def test_non_finite_rho_is_exit_one(self, measure_files, tmp_path, capsys, cmd, flags, want):
+        # a non-finite rho once passed and wrote "rho": nan, which is not JSON
+        out = tmp_path / "doc.json"
+        argv = [cmd, measure_files["dirac"], measure_files["nu2"], *flags, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
+
     def test_unwritable_out_is_exit_two(self, measure_files, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         assert main(["wmr", measure_files["mu2"], measure_files["nu2"], "--out", str(out)]) == 2
@@ -129,7 +146,7 @@ class TestDocuments:
         assert main(["wmr", measure_files["mu2"], measure_files["nu2"], "--verify", "--out", str(out)]) == 0
         ver = json.loads(out.read_text())["verification"]
         assert ver["admissible"] is False and ver["optimality_certificate"] is False
-        assert ver["violations"][0].startswith("decreasing between atoms")
+        assert ver["violations"][0] == "decreasing by 2.000e+00 between atoms -2.0 and 2.0"
         assert len(ver["violations"]) == len(set(ver["violations"])) == 2
 
     def test_reverse_document(self, measure_files, capsys):

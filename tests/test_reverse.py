@@ -218,7 +218,7 @@ class TestReverseShapeCheck:
         with pytest.raises(
             ConsistencyError,
             match=r"^reverse map is not increasing and 1-Lipschitz: "
-            r"decreasing between atoms 1\.0 and 2\.0$",
+            r"decreasing by 5\.000e-01 between atoms 1\.0 and 2\.0$",
         ):
             _verify_reverse(None, None, None, tilde, None, None, None, None, 1.0)
 
@@ -468,7 +468,7 @@ class TestResidualOrderCheck:
         want = r"^maps must be 1-Lipschitz on the atoms: expansion by 2\.000e\+00 between atoms -1\.0 and 1\.0$"
         with pytest.raises(PreconditionError, match=want):
             residual_order_check(mu, nu, MonotoneMap(mu.atoms, 2.0 * mu.atoms), ident_nu)
-        want = r"^maps must be increasing on the atoms: decreasing between atoms -1\.0 and 1\.0$"
+        want = r"^maps must be increasing on the atoms: decreasing by 2\.000e\+00 between atoms -1\.0 and 1\.0$"
         with pytest.raises(PreconditionError, match=want):
             residual_order_check(mu, nu, MonotoneMap(mu.atoms, -mu.atoms), ident_nu)
 
