@@ -27,6 +27,7 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     Interval,
+    Intervals,
     PiecewiseLinearFn,
     convex_order_leq,
     irreducible_components,

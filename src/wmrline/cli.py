@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import WmrError
+from .errors import DomainError, WmrError
 from .measures import (
     _csv,
     _order_check,
@@ -96,6 +96,10 @@ def _knots_doc(map_) -> list:
     return np.column_stack((map_.knots_x, map_.knots_t)).tolist()
 
 
+def _intervals_doc(intervals) -> list:
+    return intervals.ends().reshape(-1, 2).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Subcommands: each takes the parsed flags and the measures read from the
 # positional files, and returns a schema-1 document, CSV text, or None when
@@ -126,14 +130,10 @@ def cmd_check_order(args, a, b):
 
 
 def cmd_irreducible(args, a, b):
-    comps = irreducible_components(a, b)
+    comps = _intervals_doc(irreducible_components(a, b))
     if args.fmt == "csv":
-        return _csv("lo,hi", ((iv.lo, iv.hi) for iv in comps))
-    return {
-        "schema": 1,
-        "kind": "irreducible_intervals",
-        "intervals": [[iv.lo, iv.hi] for iv in comps],
-    }
+        return _csv("lo,hi", comps)
+    return {"schema": 1, "kind": "irreducible_intervals", "intervals": comps}
 
 
 def cmd_wmr(args, mu, nu):
@@ -145,7 +145,7 @@ def cmd_wmr(args, mu, nu):
         "map_knots": _knots_doc(sol.map),
         "pushforward": _measure_doc(sol.pushforward),
         "value": float(sol.value),
-        "irreducible_intervals": [[iv.lo, iv.hi] for iv in sol.irreducibles],
+        "irreducible_intervals": _intervals_doc(sol.irreducibles),
         "kkt_residual": float(sol.kkt_residual),
     }
     if args.verify:
@@ -184,7 +184,7 @@ def cmd_reverse(args, mu, nu):
         "cost": rsol.cost.describe(),
         "nu_star": _measure_doc(rsol.nu_star),
         "map_knots": _knots_doc(rsol.tilde_map),
-        "irreducible_intervals": [[iv.lo, iv.hi] for iv in rsol.irreducibles_mu_nustar],
+        "irreducible_intervals": _intervals_doc(rsol.irreducibles_mu_nustar),
         "value": float(rsol.value),
     }
 
@@ -269,7 +269,7 @@ def plot_segments(sol) -> list[dict]:
     # is nondecreasing up to rounding, so the segments that do lie between
     # the first whose running max of hi exceeds e and the last whose suffix
     # min of lo is below it: one segment, or a few on a rounding-level plateau
-    e = np.array([end for iv in sol.irreducibles for end in (iv.lo, iv.hi)])
+    e = sol.irreducibles.ends()
     lo, hi = np.minimum(t[:-1], t[1:]), np.maximum(t[:-1], t[1:])
     first = np.searchsorted(np.maximum.accumulate(hi), e, side="right")
     count = np.maximum(np.searchsorted(np.minimum.accumulate(lo[::-1])[::-1], e) - first, 0)
@@ -404,6 +404,8 @@ def main(argv=None) -> int:
     try:
         if "cost" in args:
             args.cost = CostSpec(args.cost, args.rho)
+        if "tol" in args and not 0.0 < args.tol < np.inf:  # NaN fails both comparisons
+            raise DomainError(f"--tol must be finite and positive, got {args.tol!r}")
         paths = (args.mu, args.nu) if "nu" in args else (args.mu,)
         out = args.handler(args, *map(read_measure_csv, paths))
         if isinstance(out, dict):

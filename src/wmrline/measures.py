@@ -20,6 +20,7 @@ and the irreducible intervals.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -369,8 +370,74 @@ class Interval:
         return self.lo + margin < y < self.hi - margin
 
 
-def irreducible_components(a: DiscreteMeasure, b: DiscreteMeasure) -> list[Interval]:
-    """Maximal open intervals where u_a < u_b, for a <=_c b.
+@dataclass(frozen=True, eq=False)
+class Intervals(Sequence):
+    """Sorted, disjoint open intervals (lo[k], hi[k]), held as two read-only
+    arrays: lo < hi, and each interval ends at or below the next one's start.
+
+    A sequence of Interval: len, iteration and indexing yield Interval
+    objects, built on demand, and it equals another Intervals or a list of
+    Interval with the same ends, so intervals == [] tests for none."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    __setstate__ = _freeze
+
+    def __post_init__(self):
+        lo, hi = _as_1d(self.lo), _as_1d(self.hi)
+        if lo.shape != hi.shape:
+            raise ValueError("lo and hi must have equal length")
+        _freeze(self, {"lo": lo, "hi": hi})
+        self._check()
+
+    @classmethod
+    def _of(cls, lo: np.ndarray, hi: np.ndarray) -> "Intervals":
+        """Intervals on new equal-length arrays of finite floats that nothing
+        else holds, checked as the constructor checks them, without the
+        intake's copy (a fixed cost that small solves would feel)."""
+        self = object.__new__(cls)
+        _freeze(self, {"lo": lo, "hi": hi})
+        self._check()
+        return self
+
+    def _check(self) -> None:
+        """lo < hi, and each interval ends at or below the next one's start;
+        ValueError names the first interval that fails and its margin."""
+        lo, hi = self.lo, self.hi
+        ok = hi > lo
+        if not ok.all():
+            k = int(ok.argmin())
+            raise ValueError(f"interval {k} is degenerate: hi - lo = {hi[k] - lo[k]:.3e}")
+        ok = lo[1:] >= hi[:-1]
+        if not ok.all():
+            k = int(ok.argmin())
+            raise ValueError(f"interval {k + 1} starts {hi[k] - lo[k + 1]:.3e} below the end of interval {k}")
+
+    def ends(self) -> np.ndarray:
+        """A new array of every end in order: lo_0, hi_0, lo_1, hi_1, ..."""
+        ends = np.empty(2 * self.lo.size)
+        ends[0::2], ends[1::2] = self.lo, self.hi
+        return ends
+
+    def __len__(self) -> int:
+        return self.lo.size
+
+    def __getitem__(self, k) -> Interval:
+        return Interval(float(self.lo[k]), float(self.hi[k]))
+
+    def __iter__(self):
+        return map(Interval, self.lo.tolist(), self.hi.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Intervals):
+            return bool(np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def irreducible_components(a: DiscreteMeasure, b: DiscreteMeasure) -> Intervals:
+    """Maximal open intervals where u_a < u_b, for a <=_c b, as one Intervals.
 
     Read off the order slack of a at its cumulative levels (_order_check);
     see _slack_components. Every endpoint is an atom of b. The same slack
@@ -384,9 +451,10 @@ def irreducible_components(a: DiscreteMeasure, b: DiscreteMeasure) -> list[Inter
     return _slack_components(slack, a, b, thr)
 
 
-def _slack_components(slack, a: DiscreteMeasure, b: DiscreteMeasure, thr: float) -> list[Interval]:
+def _slack_components(slack, a: DiscreteMeasure, b: DiscreteMeasure, thr: float) -> Intervals:
     """Irreducible intervals of eta = t(a) <=_c b, for nondecreasing t, from
-    t's order slack at 0 and a's levels, and b's levels and atoms, in O(n + m).
+    t's order slack at 0 and a's levels, and b's levels and atoms, in O(n + m),
+    as one Intervals whose arrays are read off b's atoms (no Interval built).
 
     u_b(y) = u_eta(y) exactly where a contact level (slack 0) lies in
     [F_b(y-), F_b(y)]. Between two of a's levels the slack is linear minus
@@ -405,24 +473,20 @@ def _slack_components(slack, a: DiscreteMeasure, b: DiscreteMeasure, thr: float)
     lo = cb.searchsorted(z[:-1] + 1e-12, side="right")
     hi = cb.searchsorted(z[1:] - 1e-12, side="left")
     keep = lo < hi
-    ends = zip(y[lo[keep]].tolist(), y[hi[keep]].tolist())
-    return [Interval(x, y) for x, y in ends]
+    return Intervals._of(y[lo[keep]], y[hi[keep]])
 
 
-def interval_index(intervals: list[Interval], points, margin: float = 0.0) -> np.ndarray:
+def interval_index(intervals: Intervals, points, margin: float = 0.0) -> np.ndarray:
     """Index of the interval that contains each point (Interval.contains with
-    margin), or -1 where none does.
+    margin), or -1 where none does, read off the arrays of intervals.
 
-    The intervals must be sorted and disjoint, as irreducible_components
-    returns them: the only candidate is then the last interval whose shrunk
-    lower end lies below the point."""
+    Intervals are sorted and disjoint, so the only candidate is the last
+    interval whose shrunk lower end lies below the point."""
     points = np.asarray(points, dtype=float)
     if not intervals:
         return np.full(points.shape, -1, dtype=np.int64)
-    lo = np.array([iv.lo for iv in intervals])
-    hi = np.array([iv.hi for iv in intervals])
-    k = (lo + margin).searchsorted(points, side="left") - 1
-    return np.where((k >= 0) & (points < hi[k] - margin), k, -1)
+    k = (intervals.lo + margin).searchsorted(points, side="left") - 1
+    return np.where((k >= 0) & (points < intervals.hi[k] - margin), k, -1)
 
 
 def nearest_atom(grid: np.ndarray, points) -> np.ndarray:
@@ -467,10 +531,15 @@ def _bin_barycenters(m: DiscreteMeasure, idx: np.ndarray) -> DiscreteMeasure:
 
 
 def pushforward(m: DiscreteMeasure, values) -> DiscreteMeasure:
-    """Image measure of m under the map atom_i -> values_i (duplicates merged)."""
+    """Image measure of m under the map atom_i -> values_i (duplicates merged).
+
+    A map that moves no atom (values equal to m's atoms elementwise) returns
+    m itself, its weights and cached levels as they are."""
     values = np.atleast_1d(np.asarray(values, dtype=float))  # validated by the constructor
     if values.shape != m.atoms.shape:
         raise ValueError("need one image per atom")
+    if (values == m.atoms).all():
+        return m
     return DiscreteMeasure(values, m.weights)
 
 

@@ -23,7 +23,7 @@ from .measures import (
     MERGE_TOL,
     ORDER_TOL,
     DiscreteMeasure,
-    Interval,
+    Intervals,
     _mismatch,
     _order_check,
     _order_failure,
@@ -48,7 +48,7 @@ SHAPE_TOL = 1e-9  # residual_order_check's slack on increase and 1-Lipschitz, ti
 class ReverseSolution:
     nu_star: DiscreteMeasure
     tilde_map: MonotoneMap
-    irreducibles_mu_nustar: list[Interval]
+    irreducibles_mu_nustar: Intervals
     value: float
     cost: CostSpec
 
@@ -92,7 +92,7 @@ def reverse_optimizer(
     )
 
 
-def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> list[Interval]:
+def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> Intervals:
     """Postconditions of the reverse construction; returns the irreducible
     intervals of (mu, nu*)."""
     viol = _shape_check(tilde.knots_x, tilde.knots_t, 1e-9 * s)[2]

@@ -29,7 +29,7 @@ from .errors import DomainError, PreconditionError, SizeError
 from .measures import (
     ORDER_TOL,
     DiscreteMeasure,
-    Interval,
+    Intervals,
     _as_1d,
     _freeze,
     _level_slack,
@@ -153,7 +153,7 @@ class WeakSolution:
     map: MonotoneMap
     pushforward: DiscreteMeasure
     value: float
-    irreducibles: list[Interval]
+    irreducibles: Intervals
     kkt_residual: float
     cost: CostSpec
 
@@ -377,12 +377,13 @@ class SlopeReport:
     violations: tuple = ()
 
 
-def slope1_violations(points, x, y, intervals: list[Interval], margin: float, tol: float):
+def slope1_violations(points, x, y, intervals: Intervals, margin: float, tol: float):
     """Slope-1 test of the knots (x_a, y_a) on irreducible intervals.
 
     Each consecutive pair a, a + 1 whose points both lie strictly inside one
     interval, shrunk by margin, must have |dy - dx| <= tol. Returns the
-    failing pairs as (interval, slope dy/dx), ordered by interval, then by a.
+    failing pairs as (Interval, slope dy/dx), ordered by interval, then by a;
+    only a failing pair builds an Interval.
     """
     comp = interval_index(intervals, points, margin)
     dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]

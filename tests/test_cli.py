@@ -67,8 +67,13 @@ class TestExitCodes:
             ("value", ["--cost", "power", "--rho", "nan"], "power cost needs a finite rho >= 1, got nan"),
             ("value", ["--cost", "power", "--rho", "inf"], "power cost needs a finite rho >= 1, got inf"),
             ("stability", ["--ladder-rho", "nan"], "rho must be finite and >= 1, got nan"),
+            # a NaN tolerance once failed every shape test by -0.0, an infinite one passed anything
+            ("wmr", ["--verify", "--tol", "nan"], "--tol must be finite and positive, got nan"),
+            ("compose", ["--verify", "--tol", "inf"], "--tol must be finite and positive, got inf"),
+            ("wmr", ["--verify", "--tol", "0"], "--tol must be finite and positive, got 0.0"),
+            ("compose", ["--tol", "-1"], "--tol must be finite and positive, got -1.0"),
         ],
-        ids=["rho-nan", "rho-inf", "ladder-rho-nan"],
+        ids=["rho-nan", "rho-inf", "ladder-rho-nan", "tol-nan", "tol-inf", "tol-zero", "tol-negative"],
     )
     def test_non_finite_rho_is_exit_one(self, measure_files, tmp_path, capsys, cmd, flags, want):
         # a non-finite rho once passed and wrote "rho": nan, which is not JSON

@@ -1,7 +1,7 @@
 """How the value objects take and keep their caller's arrays.
 
-DiscreteMeasure, PiecewiseLinearFn, MonotoneMap and Coupling take every float
-array through measures._as_1d (a new 1-D array of finite floats) and store it
+DiscreteMeasure, PiecewiseLinearFn, MonotoneMap, Intervals and Coupling take
+every float array through measures._as_1d (a new 1-D array of finite floats) and store it
 read-only through measures._freeze, which is also their __setstate__, so a
 pickled or copied object stays frozen. The table at the end checks the type
 and the message of the constructors' other errors.
@@ -20,6 +20,7 @@ from wmrline import (
     DiscreteMeasure,
     DomainError,
     Interval,
+    Intervals,
     MartingaleCoupling,
     MonotoneMap,
     PerturbationLadder,
@@ -58,6 +59,12 @@ CLASSES = {
         {"knots_x": [0.0, 1.0, 2.0], "knots_t": [0.0, 0.5, 1.0]},
         ("knots_x", "knots_t"),
         {"knots_x": [3.0], "knots_t": [1.0]},
+    ),
+    "Intervals": (
+        Intervals,
+        {"lo": [0.0, 2.0, 3.0], "hi": [1.0, 3.0, 5.0]},
+        ("lo", "hi"),
+        {"lo": [3.0], "hi": [4.0]},
     ),
     "Coupling": (
         Coupling,
@@ -217,6 +224,32 @@ ERRORS = {
         "slopes must be nondecreasing for a convex fn",
     ),
     "degenerate interval": (lambda: Interval(1.0, 1.0), ValueError, "degenerate interval (1.0, 1.0)"),
+    "intervals lengths": (lambda: Intervals([0.0, 2.0], [1.0]), ValueError, "lo and hi must have equal length"),
+    "degenerate intervals": (
+        lambda: Intervals([0.0, 2.0, 4.0], [1.0, 2.0, 5.0]),
+        ValueError,
+        "interval 1 is degenerate: hi - lo = 0.000e+00",
+    ),
+    "reversed intervals": (
+        lambda: Intervals([0.0, 3.0], [1.0, 2.5]),
+        ValueError,
+        "interval 1 is degenerate: hi - lo = -5.000e-01",
+    ),
+    "overlapping intervals": (
+        lambda: Intervals([0.0, 1.75, 3.0], [2.0, 2.5, 4.0]),
+        ValueError,
+        "interval 1 starts 2.500e-01 below the end of interval 0",
+    ),
+    "library-made intervals": (
+        lambda: Intervals._of(np.array([0.0, 2.0]), np.array([1.0, 1.5])),
+        ValueError,
+        "interval 1 is degenerate: hi - lo = -5.000e-01",
+    ),
+    "unsorted intervals": (
+        lambda: Intervals([0.0, 5.0, 2.0], [1.0, 6.0, 3.0]),
+        ValueError,
+        "interval 2 starts 4.000e+00 below the end of interval 1",
+    ),
     "pushforward length": (lambda: pushforward(dm([0, 1]), [0.0]), ValueError, "need one image per atom"),
     "knot lengths": (lambda: MonotoneMap([0.0, 1.0], [0.0]), ValueError, "knots need equal, positive length"),
     "ladder length": (
