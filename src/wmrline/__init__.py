@@ -51,8 +51,6 @@ from .wmr import (
     MonotoneMap,
     WeakSolution,
     map_decomposition,
-    oracle_solve,
-    project_admissible,
     solve_weak_transport,
     value,
     verify_admissible,

@@ -273,8 +273,25 @@ def compose_with_map(mu: DiscreteMeasure, map_: MonotoneMap, mg: Coupling) -> Co
 
 @dataclass(frozen=True)
 class MartingaleDecomposition:
+    """A coupling's entries by irreducible component; every index array,
+    those inside the component pairs too, is a read-only copy."""
+
     components: tuple  # (Interval, entry index array) pairs
     fixed: np.ndarray  # indices of diagonal entries on F
+
+    def __post_init__(self):
+        def index(a):
+            return np.array(a, dtype=np.int64, ndmin=1)
+
+        self.__setstate__(
+            {"components": tuple((iv, index(a)) for iv, a in self.components), "fixed": index(self.fixed)}
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        """_freeze, reaching the index arrays inside the component pairs too."""
+        for _, a in state["components"]:
+            a.setflags(write=False)
+        _freeze(self, state)
 
 
 def decompose_martingale(mg: MartingaleCoupling) -> MartingaleDecomposition:

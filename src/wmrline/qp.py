@@ -5,8 +5,10 @@ Solves   min 1/2 x^T H x + c^T x
 
 starting from a feasible point. H must be positive semidefinite; all linear
 algebra is dense numpy, sized for desk-scale problems (a few hundred rows).
-The weak transport solve does not use it: it serves the Euclidean
-projection onto the admissible set and the tests, as an independent oracle.
+No module of the package imports it: it serves only the tests, as an
+independent oracle (the Euclidean projection onto the admissible maps in
+tests/oracle.py, and the tests' own QPs). It stays importable as wmrline.qp,
+since bench/tracing.py wraps solve_qp by name.
 """
 
 from __future__ import annotations

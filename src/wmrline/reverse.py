@@ -202,16 +202,18 @@ def residual_order_check(
     theorem, so a False return indicates a bug in the caller or here.
     """
     s = support_scale(eta1, eta2)
-    for m, f in ((eta1, T1), (eta2, T2)):
-        monotone, lip, viol = _shape_check(m.atoms, f(m.atoms), SHAPE_TOL * s)
+    t1, t2 = T1(eta1.atoms), T2(eta2.atoms)  # each map is evaluated once
+    for m, t in ((eta1, t1), (eta2, t2)):
+        monotone, lip, viol = _shape_check(m.atoms, t, SHAPE_TOL * s)
         if not monotone:
             raise PreconditionError(f"maps must be increasing on the atoms: {viol[0]}")
         if not lip:
             raise PreconditionError(f"maps must be 1-Lipschitz on the atoms: {viol[0]}")
-    for a, b, na, nb in ((eta1, eta2, "eta1", "eta2"), (T2.push(eta2), T1.push(eta1), "T2(eta2)", "T1(eta1)")):
+    pushed = (pushforward(eta2, t2), pushforward(eta1, t1), "T2(eta2)", "T1(eta1)")
+    for a, b, na, nb in ((eta1, eta2, "eta1", "eta2"), pushed):
         why = _order_failure(a, b, na, nb)
         if why is not None:
             raise PreconditionError(f"need {na} <=_c {nb}: {why}")
-    res1 = pushforward(eta1, eta1.atoms - T1(eta1.atoms))
-    res2 = pushforward(eta2, eta2.atoms - T2(eta2.atoms))
+    res1 = pushforward(eta1, eta1.atoms - t1)
+    res2 = pushforward(eta2, eta2.atoms - t2)
     return convex_order_leq(res1, res2)

@@ -16,8 +16,10 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, HypothesisError, OrderError
 from .measures import (
     DiscreteMeasure,
+    _as_1d,
     _bin_barycenters,
     _csv,
+    _freeze,
     _order_failure,
     level_blocks,
     lowest_mass,
@@ -89,11 +91,16 @@ def eta_transfer(
 
 @dataclass(frozen=True)
 class TailTrim:
-    """Sub-measure left after removing tail mass, plus its renormalization."""
+    """Sub-measure left after removing tail mass, plus its renormalization;
+    atoms and weights are read-only copies."""
 
     atoms: np.ndarray
     weights: np.ndarray  # entrywise <= the input weights; total mass >= 1 - eps
     renormalized: DiscreteMeasure
+    __setstate__ = _freeze
+
+    def __post_init__(self):
+        _freeze(self, {"atoms": _as_1d(self.atoms), "weights": _as_1d(self.weights)})
 
     @property
     def kept_mass(self) -> float:
@@ -113,7 +120,7 @@ def truncate_mean_preserving(eta: DiscreteMeasure, eps: float) -> TailTrim:
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
     if eta.n == 1:
-        return TailTrim(eta.atoms.copy(), eta.weights.copy(), eta)
+        return TailTrim(eta.atoms, eta.weights, eta)
     w, x = eta.weights, eta.atoms
     C = np.concatenate(([0.0], eta.cumulative()))
     S = np.concatenate(([0.0], (w * (x - x[0])).cumsum()))  # int_0^C (F^{-1} - x_0)
@@ -125,7 +132,7 @@ def truncate_mean_preserving(eta: DiscreteMeasure, eps: float) -> TailTrim:
     kept = np.maximum(w - lowest_mass(w, a) - lowest_mass(w[::-1], eps - a)[::-1], 0.0)
     pos = kept > 1e-15
     renorm = DiscreteMeasure(x[pos], kept[pos] / kept.sum())
-    return TailTrim(x.copy(), kept, renorm)
+    return TailTrim(x, kept, renorm)
 
 
 def finite_support_approx(eta: DiscreteMeasure, k: int) -> DiscreteMeasure:

@@ -17,6 +17,12 @@ the map in O(n + m), for every strictly convex cost at once: the pooled
 displacements do not increase, so the map is increasing and 1-Lipschitz,
 with slope 1 inside each pool. Optimality is certified per cost by
 closed-form KKT multipliers computed from the map alone.
+
+The module holds the cost, the map, the solve, its KKT certificate and the
+verifiers. The dense polyhedron of the problem (transport_polyhedron) stays
+only because bench/tracing.py looks it up by name; no solver uses it. The
+tests' independent oracles, the grid search and the QP projection onto
+admissible maps, build on it and live with the tests in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, SizeError
+from .errors import DomainError
 from .measures import (
     ORDER_TOL,
     DiscreteMeasure,
@@ -163,32 +169,25 @@ class WeakSolution:
 # ---------------------------------------------------------------------------
 
 
-def transport_polyhedron(mu: DiscreteMeasure, nu: DiscreteMeasure, lipschitz: bool = False):
+def transport_polyhedron(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Constraint matrices for {t : t monotone, t(mu) <=_c nu}.
 
     Convex order is imposed exactly at the merged cumulative-weight levels of
     mu and nu: both sides of the partial quantile-integral inequality are
-    piecewise linear in the level with kinks only there. With lipschitz=True
-    the rows t_{i+1} - t_i <= dx_i are added, which restricts the set to the
-    values of admissible (increasing 1-Lipschitz) maps. Dense, O(n(n+m)):
-    only the projection, the grid oracle and the tests use it.
+    piecewise linear in the level with kinks only there. The n - 1
+    monotonicity rows come first. Dense, O(n(n+m)), and no solver uses it:
+    only the tests' oracles (tests/oracle.py) build on it.
     """
     n = mu.n
     cmu = np.concatenate(([0.0], mu.cumulative()))
     levels = np.union1d(cmu[1:], nu.cumulative())
     levels = levels[(levels > 1e-15) & (levels < 1.0 - 1e-15)]
     eye = np.eye(n)
-    rows, rhs = [eye[1:] - eye[:-1]], [np.zeros(n - 1)]  # monotonicity
-    if lipschitz:  # t_{i+1} - t_i <= dx_i
-        rows.append(eye[:-1] - eye[1:])
-        rhs.append(-np.diff(mu.atoms))
     # int_0^s q_t(u) du = sum_i overlap(block_i, [0, s]) * t_i
     overlap = np.minimum(cmu[1:], levels[:, None]) - np.minimum(cmu[:-1], levels[:, None])
-    rows.append(np.maximum(overlap, 0.0))
-    rhs.append(_quantile_integral(nu, levels))
-    A_eq = mu.weights.reshape(1, -1)
-    b_eq = np.array([mean(nu)])
-    return A_eq, b_eq, np.vstack(rows), np.concatenate(rhs)
+    A_in = np.vstack((eye[1:] - eye[:-1], np.maximum(overlap, 0.0)))
+    b_in = np.concatenate((np.zeros(n - 1), _quantile_integral(nu, levels)))
+    return mu.weights.reshape(1, -1), np.array([mean(nu)]), A_in, b_in
 
 
 def _quantile_integral(nu: DiscreteMeasure, s: np.ndarray) -> np.ndarray:
@@ -358,8 +357,12 @@ def verify_admissible(
 ) -> AdmissibilityReport:
     """Check the three admissibility properties of a map on the atoms of mu:
     increasing, 1-Lipschitz, and pushforward below nu in convex order."""
+    return _admissibility(map_(mu.atoms), mu, nu, tol)
+
+
+def _admissibility(t, mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float) -> AdmissibilityReport:
+    """verify_admissible of the map's values t on mu's atoms."""
     x = mu.atoms
-    t = map_(x)
     monotone, lip, viol = _shape_check(x, t, tol * support_scale(mu, nu))
     push, order_tol = pushforward(mu, t), max(ORDER_TOL, tol)
     why = _order_failure(push, nu, "T(mu)", "nu", order_tol)
@@ -400,9 +403,9 @@ def verify_slope1_characterization(
     pair of consecutive atoms whose images both fall strictly inside one
     irreducible interval of (pushforward, nu)."""
     s = support_scale(mu, nu)
-    adm = verify_admissible(sol.map, mu, nu, tol)
     x = mu.atoms
     t = sol.map(x)
+    adm = _admissibility(t, mu, nu, tol)
     viol = list(adm.violations)
     for iv, slope in slope1_violations(t, x, t, sol.irreducibles, tol * s, tol * s):
         viol.append(f"slope {slope:.6f} != 1 inside ({iv.lo}, {iv.hi})")
@@ -426,98 +429,3 @@ def map_decomposition(map_: MonotoneMap):
     for i, j in zip(start[:-1].tolist(), start[1:].tolist()):
         (slope1 if unit[i] else contractive).append((float(x[i]), float(x[j])))
     return slope1, contractive
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def oracle_solve(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec | None = None, grid_step: float = 1e-3
-):
-    """Exhaustive grid search over map values for tiny instances (n <= 4).
-
-    The mean constraint is eliminated exactly (the last coordinate solves it),
-    and the remaining coordinates range over a grid of the stated step
-    spanning the joint support hull inflated by its diameter. Constraint
-    filtering is relaxed by one grid step so the rounding of the true optimum
-    stays admissible; the returned value is within Lip(theta) * grid_step * n
-    of the optimum. Independent of the QP path by construction.
-    """
-    cost = cost or CostSpec.quadratic()
-    n = mu.n
-    if n > 4:
-        raise SizeError(f"oracle handles at most 4 source atoms, got {n}")
-    x, p = mu.atoms, mu.weights
-    A_eq, b_eq, A_in, b_in = transport_polyhedron(mu, nu)
-    m_nu = float(b_eq[0])
-    lo = min(float(mu.atoms[0]), float(nu.atoms[0]))
-    hi = max(float(mu.atoms[-1]), float(nu.atoms[-1]))
-    diam = max(hi - lo, grid_step)
-    lo, hi = lo - diam, hi + diam
-    slack = grid_step
-
-    if n == 1:
-        t = np.array([m_nu])
-        return float(np.dot(p, cost.value(x - t))), t
-
-    axis = np.arange(lo, hi + grid_step, grid_step)
-    g = axis.size
-    total = g ** (n - 1)
-    order_rows = A_in[n - 1 :]  # monotonicity rows are rechecked directly
-    order_rhs = b_in[n - 1 :]
-    best_val, best_t = np.inf, None
-    # enumerate the free coordinates in blocks to bound memory; a later block
-    # replaces the best only when strictly lower, so the first global minimum
-    # in enumeration order wins wherever the blocks split
-    block = int(2e6)
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        idx = np.arange(start, stop)
-        cols = []
-        rem = idx
-        for d in range(n - 2, -1, -1):
-            cols.append(rem // (g**d))
-            rem = rem % (g**d)
-        free = np.stack([axis[c] for c in cols], axis=1)
-        t_last = (m_nu - free @ p[:-1]) / p[-1]
-        T = np.column_stack([free, t_last])
-        ok = np.all(np.diff(T, axis=1) >= -slack, axis=1)
-        ok &= (T[:, -1] >= lo) & (T[:, -1] <= hi)
-        if order_rows.size:
-            ok &= np.all(T @ order_rows.T >= order_rhs - slack, axis=1)
-        if not np.any(ok):
-            continue
-        Tok = T[ok]
-        vals = cost.value(x[None, :] - Tok) @ p
-        b = int(np.argmin(vals))
-        if vals[b] < best_val:
-            best_val, best_t = float(vals[b]), Tok[b].copy()
-    if best_t is None:
-        raise SizeError("oracle grid contains no feasible point; refine the step")
-    return best_val, best_t
-
-
-# ---------------------------------------------------------------------------
-# Projection used to generate random admissible maps
-# ---------------------------------------------------------------------------
-
-
-def project_admissible(
-    values, mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> MonotoneMap:
-    """Euclidean projection of candidate map values onto the admissible set
-    (monotone, 1-Lipschitz, pushforward <=_c nu), as a map on mu's atoms.
-
-    The constant map at mean(nu) is always feasible and seeds the QP.
-    """
-    z = _as_1d(values)
-    if z.size != mu.n:
-        raise PreconditionError("need one candidate value per atom of mu")
-    A_eq, b_eq, A_in, b_in = transport_polyhedron(mu, nu, lipschitz=True)
-    x0 = np.full(mu.n, mean(nu))
-    from . import qp  # only this projection needs the QP oracle
-
-    res = qp.solve_qp(np.eye(mu.n), -z, A_eq, b_eq, A_in, b_in, x0)
-    return MonotoneMap(mu.atoms, res.x)

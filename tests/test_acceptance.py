@@ -25,11 +25,9 @@ from wmrline import (
     mean,
     measures_close,
     optimality_certificate,
-    oracle_solve,
     pl_max,
     potential,
     potential_at,
-    project_admissible,
     pushforward,
     quantile_assignment,
     read_measure_csv,
@@ -49,6 +47,7 @@ from wmrline.cli import main as cli_main
 from wmrline.cli import plot_segments
 
 from conftest import dirac, dm, random_measure, random_one_lipschitz_values, random_ordered_pair
+from oracle import oracle_solve, project_admissible
 
 
 def report(num, label):

@@ -1,10 +1,12 @@
 """How the value objects take and keep their caller's arrays.
 
-DiscreteMeasure, PiecewiseLinearFn, MonotoneMap, Intervals and Coupling take
-every float array through measures._as_1d (a new 1-D array of finite floats) and store it
-read-only through measures._freeze, which is also their __setstate__, so a
-pickled or copied object stays frozen. The table at the end checks the type
-and the message of the constructors' other errors.
+DiscreteMeasure, PiecewiseLinearFn, MonotoneMap, Intervals, Coupling and
+TailTrim take every float array through measures._as_1d (a new 1-D array of
+finite floats) and store it read-only through measures._freeze, which is also
+their __setstate__, so a pickled or copied object stays frozen; a
+MartingaleDecomposition freezes the index arrays inside its components too.
+The table at the end checks the type and the message of the constructors'
+other errors.
 """
 
 import copy
@@ -22,20 +24,23 @@ from wmrline import (
     Interval,
     Intervals,
     MartingaleCoupling,
+    MartingaleDecomposition,
     MonotoneMap,
     PerturbationLadder,
     PiecewiseLinearFn,
+    TailTrim,
     build_martingale_coupling,
+    decompose_martingale,
     find_two_point_improvement,
     finite_support_approx,
     parse_coupling_csv,
-    project_admissible,
     pushforward,
     wasserstein,
 )
 from wmrline.wmr import kkt_residual
 
 from conftest import dirac, dm
+from oracle import project_admissible
 
 NAN, INF = float("nan"), float("inf")
 
@@ -71,6 +76,12 @@ CLASSES = {
         {"source": dm([0, 1]), "target": dm([0, 1]), "rows": [0, 1], "cols": [0, 1], "mass": [0.5, 0.5]},
         ("mass",),
         {"mass": [1.0]},
+    ),
+    "TailTrim": (
+        TailTrim,
+        {"atoms": [0.0, 1.0, 2.0], "weights": [0.25, 0.5, 0.25], "renormalized": dm([0, 1, 2], [0.25, 0.5, 0.25])},
+        ("atoms", "weights"),
+        {"atoms": [3.0], "weights": [1.0]},
     ),
 }
 
@@ -128,7 +139,7 @@ class TestIntake:
         twin = how(obj)
         assert type(twin) is type(obj)
         fields = array_fields(twin)
-        assert fields.keys() == array_fields(obj).keys()
+        assert fields.keys() == array_fields(obj).keys() >= set(CLASSES[name][2])
         for field, arr in fields.items():
             assert not arr.flags.writeable, field
             assert arr.tobytes() == getattr(obj, field).tobytes(), field
@@ -149,6 +160,30 @@ def test_martingale_coupling_copies_stay_frozen(how):
     mg = how(build_martingale_coupling(dirac(0.0), dm([-1, 1])))
     assert type(mg) is MartingaleCoupling
     assert not any(a.flags.writeable for a in array_fields(mg).values())
+
+
+@pytest.mark.parametrize(
+    "how",
+    [lambda o: o, lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
+    ids=["as-built", "pickle", "deepcopy"],
+)
+def test_decomposition_index_arrays_stay_frozen(how):
+    # source atom 0 splits onto -1 and 1 (one component), atom 5 stays (fixed)
+    mg = build_martingale_coupling(dm([0, 5]), dm([-1, 1, 5], [0.25, 0.25, 0.5]))
+    dec = how(decompose_martingale(mg))
+    arrays = [dec.fixed, *(a for _, a in dec.components)]
+    assert [a.tolist() for a in arrays] == [[2], [0, 1]]
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_decomposition_copies_the_callers_arrays():
+    entries, fixed = np.array([0, 1]), np.array([2])
+    dec = MartingaleDecomposition(((Interval(-1.0, 1.0), entries),), fixed)
+    ours = [dec.fixed, dec.components[0][1]]
+    assert entries.flags.writeable and fixed.flags.writeable
+    assert [a.tolist() for a in ours] == [[2], [0, 1]]
+    assert not any(a.flags.writeable for a in ours)
+    assert not any(np.shares_memory(a, b) for a in ours for b in (entries, fixed))
 
 
 class TestNonFiniteValues:
@@ -198,6 +233,8 @@ def _coupling_with_an_empty_row():
 
 # (call, error type, message) of each constructor error
 ERRORS = {
+    "empty measure": (lambda: DiscreteMeasure([], []), ValueError, "a measure needs at least one atom"),
+    "vanishing weights": (lambda: DiscreteMeasure([0, 1], [0, 0]), ValueError, "all weights vanish"),
     "coupling lengths": (
         lambda: Coupling(dm([0, 1]), dm([0, 1]), [0, 1], [0], [0.5, 0.5]),
         CouplingError,

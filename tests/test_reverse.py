@@ -446,6 +446,19 @@ class TestResidualOrderCheck:
         T2 = MonotoneMap(mu.atoms, np.zeros(2))
         assert residual_order_check(mu, mu, T1, T2)
 
+    def test_each_map_is_evaluated_once(self, monkeypatch):
+        mu = dm([-2, 2])
+        T1, T2 = MonotoneMap(mu.atoms, mu.atoms / 2), MonotoneMap(mu.atoms, np.zeros(2))
+        evaluate, calls = MonotoneMap.__call__, []
+
+        def counted(map_, y):
+            calls.append(map_)
+            return evaluate(map_, y)
+
+        monkeypatch.setattr(MonotoneMap, "__call__", counted)
+        assert residual_order_check(mu, mu, T1, T2)
+        assert len(calls) == 2 and calls[0] is T1 and calls[1] is T2
+
     def test_precondition_enforced(self):
         mu, nu = dm([-1, 1]), dm([-2, 2])
         ident_mu = MonotoneMap.identity(mu.atoms)

@@ -89,7 +89,8 @@ class TestLazyNames:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             wmrline.nope  # noqa: B018
-        assert not hasattr(wmrline, "check_maximality")
+        for gone in ("check_maximality", "oracle_solve", "project_admissible"):
+            assert not hasattr(wmrline, gone) and gone not in wmrline.__all__
 
 
 class TestSubcommandModules:

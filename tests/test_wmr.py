@@ -17,8 +17,6 @@ from wmrline import (
     map_decomposition,
     mean,
     measures_close,
-    oracle_solve,
-    project_admissible,
     reverse_optimizer,
     solve_weak_transport,
     support_scale,
@@ -42,6 +40,7 @@ from conftest import (
     random_measure,
     spread_pair,
 )
+from oracle import oracle_solve, project_admissible
 
 COSTS = (CostSpec.quadratic(), CostSpec.quartic(), CostSpec.power(3.0))
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -57,6 +56,9 @@ class TestCostSpec:
         assert CostSpec.quadratic().strictly_convex
         assert CostSpec.power(1.5).strictly_convex
         assert not CostSpec.power(1.0).strictly_convex
+
+    def test_unit_power_derivative_is_the_sign(self):
+        assert CostSpec.power(1.0).deriv([-2, 0, 3]).tolist() == [-1.0, 0.0, 1.0]
 
     def test_growth_exponent(self):
         assert CostSpec.quartic().growth_exponent == 4.0
@@ -216,6 +218,19 @@ class TestVerifiers:
         rep = verify_slope1_characterization(fake, mu, nu)
         assert not rep.ok and rep.admissible
 
+    def test_each_map_is_evaluated_once(self, monkeypatch):
+        mu, nu = dm([-2, 0, 2]), dm([-1, 1])
+        sol = weak_monotone_rearrangement(mu, nu)
+        evaluate, calls = MonotoneMap.__call__, []
+
+        def counted(map_, y):
+            calls.append(map_)
+            return evaluate(map_, y)
+
+        monkeypatch.setattr(MonotoneMap, "__call__", counted)
+        assert verify_slope1_characterization(sol, mu, nu).ok
+        assert len(calls) == 1 and calls[0] is sol.map
+
     def test_solver_outputs_always_verify(self, rng):
         for _ in range(30):
             mu = random_measure(rng, max_atoms=12)
@@ -359,6 +374,9 @@ class TestMapDecomposition:
             MonotoneMap(np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 2.0]))
         )
         assert s1 == [(0.0, 1.0)] and contr == [(1.0, 3.0)]
+
+    def test_one_knot(self):
+        assert map_decomposition(MonotoneMap([1.0], [0.5])) == ([], [])
 
 
 def smooth_strictify(map_: MonotoneMap, eps: float) -> MonotoneMap:
