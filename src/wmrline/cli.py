@@ -5,6 +5,8 @@ solver, the reverse problem, coupling composition, stability ladders, and a
 Figure-style SVG of the transport map partitioned into martingale and
 contractive regions. All numeric output uses fixed scientific notation with
 17 significant digits so identical inputs give byte-identical files.
+Documents carry the library's float arrays as they are, and render_json
+writes each one through one "%.16e" template.
 Handlers import the couplings, the reverse and the stability ladders
 themselves, so each subcommand loads only the modules it runs.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -42,6 +43,16 @@ def fmt(x: float) -> str:
 def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with floats in fixed scientific notation."""
     pad = "  " * indent
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind != "f" or not obj.size:
+            return render_json(obj.tolist(), indent)
+        # the per-value lines of a float array, filled into one "%.16e"
+        # template: one number per line, or one bracketed row per line
+        line = pad + "  %.16e"
+        if obj.ndim == 2:
+            line = f"{pad}  [\n" + ",\n".join([pad + "    %.16e"] * obj.shape[1]) + f"\n{pad}  ]"
+        body = ",\n".join([line] * len(obj)) % tuple(obj.ravel().tolist())
+        return "[\n" + body + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -52,9 +63,7 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = _float_lines(obj, pad + "  ")
-        if body is None:
-            body = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
+        body = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
         return "[\n" + body + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -67,37 +76,16 @@ def render_json(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _floats(values) -> bool:
-    """Every value is a float (numpy's float64 is one), so "%.16e" writes fmt's text."""
-    return all(issubclass(t, float) for t in set(map(type, values)))
-
-
-def _float_lines(items, pad: str) -> str | None:
-    """render_json's lines for a list of floats, or of equal-length lists of
-    floats, filled into one "%.16e" template (the text of fmt); None for any
-    other list."""
-    if _floats(items):
-        return ",\n".join([pad + "%.16e"] * len(items)) % tuple(items)
-    if not all(issubclass(t, (list, tuple)) for t in set(map(type, items))):
-        return None
-    widths = set(map(len, items))
-    values = tuple(chain.from_iterable(items))
-    if len(widths) != 1 or not values or not _floats(values):
-        return None
-    row = pad + "[\n" + ",\n".join([pad + "  %.16e"] * widths.pop()) + "\n" + pad + "]"
-    return ",\n".join([row] * len(items)) % values
-
-
 def _measure_doc(m) -> dict:
-    return {"atoms": m.atoms.tolist(), "weights": m.weights.tolist()}
+    return {"atoms": m.atoms, "weights": m.weights}
 
 
-def _knots_doc(map_) -> list:
-    return np.column_stack((map_.knots_x, map_.knots_t)).tolist()
+def _knots_doc(map_) -> np.ndarray:
+    return np.column_stack((map_.knots_x, map_.knots_t))
 
 
-def _intervals_doc(intervals) -> list:
-    return intervals.ends().reshape(-1, 2).tolist()
+def _intervals_doc(intervals) -> np.ndarray:
+    return intervals.ends().reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +102,8 @@ def cmd_potential(args, m):
     return {
         "schema": 1,
         "kind": "potential",
-        "breakpoints": list(map(float, u.breakpoints)),
-        "values": list(map(float, u.values)),
+        "breakpoints": u.breakpoints,
+        "values": u.values,
         "left_slope": u.left_slope,
         "right_slope": u.right_slope,
         "mean": mean(m),
@@ -199,7 +187,7 @@ def cmd_compose(args, mu, nu):
     doc = {
         "schema": 1,
         "kind": "coupling",
-        "entries": np.column_stack((mu.atoms[pi.rows], nu.atoms[pi.cols], pi.mass)).tolist(),
+        "entries": np.column_stack((mu.atoms[pi.rows], nu.atoms[pi.cols], pi.mass)),
         "cost": args.cost.describe(),
         "barycentric_cost": pi.cost(args.cost),
     }

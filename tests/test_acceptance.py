@@ -8,7 +8,6 @@ import functools
 import time
 
 import numpy as np
-import pytest
 
 from wmrline import (
     CostSpec,
@@ -25,11 +24,9 @@ from wmrline import (
     mean,
     measures_close,
     optimality_certificate,
-    pl_max,
     potential,
     potential_at,
     pushforward,
-    quantile_assignment,
     read_measure_csv,
     residual_order_check,
     reverse_optimizer,

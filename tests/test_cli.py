@@ -13,7 +13,9 @@ from wmrline import (
     build_martingale_coupling,
     compose_with_map,
     coupling_to_csv,
+    irreducible_components,
     map_decomposition,
+    optimality_certificate,
     pushforward,
     read_measure_csv,
     reverse_optimizer,
@@ -172,6 +174,21 @@ class TestDocuments:
         assert lines[0] == "y,u"
         assert len(lines) == 3
 
+    def test_irreducible_csv(self, measure_files, capsys):
+        assert main(["irreducible", measure_files["outer"], measure_files["b4"], "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        intervals = irreducible_components(*map(read_measure_csv, (measure_files["outer"], measure_files["b4"])))
+        assert lines == ["lo,hi", *(f"{iv.lo:.16e},{iv.hi:.16e}" for iv in intervals)]
+        assert len(lines) == 3
+
+    def test_one_atom_plot(self, measure_files, tmp_path):
+        # a one-knot map has no segment: the SVG marks its one point
+        out = tmp_path / "d.svg"
+        assert main(["plot", measure_files["dirac"], measure_files["nu2"], "--out", str(out)]) == 0
+        assert '<circle class="contractive" cx="40.000" cy="440.000" r="4"/>' in out.read_text()
+        assert "<polyline" not in out.read_text()
+        assert (tmp_path / "d.svg.csv").read_text() == "x0,t0,x1,t1,class\n"
+
     def test_stability_csv(self, measure_files, capsys):
         code = main(
             ["stability", measure_files["dirac"], measure_files["nu2"], "--ladder", "shift",
@@ -216,6 +233,31 @@ def _reverse_doc(rsol):
     }
 
 
+def _value_doc(sol, cost):
+    return {
+        "schema": 1,
+        "kind": "value",
+        "cost": cost.describe(),
+        "value": float(sol.value),
+        "kkt_residual": float(sol.kkt_residual),
+    }
+
+
+def _coupling_doc(pi, mu, nu, cost, cert=None):
+    doc = {
+        "schema": 1,
+        "kind": "coupling",
+        "entries": [
+            [float(mu.atoms[r]), float(nu.atoms[c]), float(m)] for r, c, m in zip(pi.rows, pi.cols, pi.mass)
+        ],
+        "cost": cost.describe(),
+        "barycentric_cost": float(pi.cost(cost)),
+    }
+    if cert is not None:
+        doc["verification"] = {"optimality_certificate": cert.ok, "violations": list(cert.violations)}
+    return doc
+
+
 def _stability_doc(report):
     return {
         "schema": 1,
@@ -255,8 +297,14 @@ class TestDocumentSchema:
             cost = (CostSpec.quadratic(), CostSpec.quartic(), CostSpec.power(3.0))[k % 3]
             flags = ["--cost", cost.kind, "--rho", repr(cost.rho)]
             ladder = PerturbationLadder(mu, nu, "shift", length=2, rho=4.0)
+            sol = solve_weak_transport(mu, nu, cost)
+            pi = compose_with_map(mu, sol.map, build_martingale_coupling(sol.pushforward, nu))
+            cert = optimality_certificate(pi, mu, nu, cost)
             for argv, doc in (
-                (["wmr", *paths, *flags], _solution_doc(solve_weak_transport(mu, nu, cost))),
+                (["wmr", *paths, *flags], _solution_doc(sol)),
+                (["value", *paths, *flags], _value_doc(sol, cost)),
+                (["compose", *paths, *flags], _coupling_doc(pi, mu, nu, cost)),
+                (["compose", *paths, *flags, "--verify"], _coupling_doc(pi, mu, nu, cost, cert)),
                 (["reverse", *paths, *flags], _reverse_doc(reverse_optimizer(mu, nu, cost))),
                 (
                     ["stability", *paths, *flags, "--rungs", "2", "--ladder-rho", "4"],
@@ -382,9 +430,11 @@ def _plot_segments_loop(sol):
 
 
 def render_json_per_value(obj, indent=0):
-    """render_json as one call per value, before lists of float rows were
-    filled into one template: the reference for the writer's bytes."""
+    """render_json as one call per value, before float arrays were filled
+    into one template: the reference for the writer's bytes."""
     pad = "  " * indent
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -435,6 +485,12 @@ class TestWriters:
                 "nested": [[[1.0, 2.0]], [[3.0, 4.0]]],
                 "records": [{"k": 1, "v": [0.5, -0.0]}, {}],
                 "ints": [1, 2],
+                "array": x[:n],
+                "array_rows": x.reshape(n, 3),
+                "empty_array": np.empty(0),
+                "empty_array_rows": np.empty((0, 2)),
+                "int_array": np.arange(n),
+                "records_of_arrays": [{"v": x[:2]}, {"v": x[:0]}],
             }
             assert render_json(doc) == render_json_per_value(doc)
 

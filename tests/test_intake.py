@@ -234,6 +234,11 @@ def _coupling_with_an_empty_row():
 # (call, error type, message) of each constructor error
 ERRORS = {
     "empty measure": (lambda: DiscreteMeasure([], []), ValueError, "a measure needs at least one atom"),
+    "measure lengths": (
+        lambda: DiscreteMeasure([0.0, 1.0], [1.0]),
+        ValueError,
+        "atoms and weights must have equal length",
+    ),
     "vanishing weights": (lambda: DiscreteMeasure([0, 1], [0, 0]), ValueError, "all weights vanish"),
     "coupling lengths": (
         lambda: Coupling(dm([0, 1]), dm([0, 1]), [0, 1], [0], [0.5, 0.5]),
