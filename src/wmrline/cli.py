@@ -4,7 +4,9 @@ One binary with subcommands for measure diagnostics, the weak transport
 solver, the reverse problem, coupling composition, stability ladders, and a
 Figure-style SVG of the transport map partitioned into martingale and
 contractive regions. All numeric output uses fixed scientific notation with
-17 significant digits so identical inputs give byte-identical files.
+17 significant digits so identical inputs give byte-identical files at a
+fixed BLAS thread count (an np.dot sum can differ in its last digits between
+one OpenBLAS thread and two; CI and the benchmark pin one).
 Documents carry the library's float arrays as they are, and render_json
 writes each one through one "%.16e" template.
 Handlers import the couplings, the reverse and the stability ladders
@@ -120,7 +122,7 @@ def cmd_check_order(args, a, b):
 def cmd_irreducible(args, a, b):
     comps = _intervals_doc(irreducible_components(a, b))
     if args.fmt == "csv":
-        return _csv("lo,hi", comps)
+        return _csv("lo,hi", comps.tolist())
     return {"schema": 1, "kind": "irreducible_intervals", "intervals": comps}
 
 

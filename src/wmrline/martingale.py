@@ -29,6 +29,7 @@ from .measures import (
     _csv,
     _csv_rows,
     _freeze,
+    _gate,
     _mismatch,
     _order_failure,
     lowest_mass,
@@ -79,8 +80,10 @@ class Coupling:
                 raise ValueError
         except ValueError:
             raise CouplingError("rows and cols must index atoms of the source and the target") from None
-        _gate(np.abs(rs - self.source.weights), MARGINAL_TOL, "row sums do not match the source weights at atom")
-        _gate(np.abs(cs - self.target.weights), MARGINAL_TOL, "column sums do not match the target weights at atom")
+        _gate(np.abs(rs - self.source.weights), MARGINAL_TOL,
+              "row sums do not match the source weights at atom", CouplingError)
+        _gate(np.abs(cs - self.target.weights), MARGINAL_TOL,
+              "column sums do not match the target weights at atom", CouplingError)
 
     def conditional(self, i: int) -> DiscreteMeasure:
         """Normalized conditional distribution of the i-th source atom."""
@@ -109,15 +112,7 @@ class MartingaleCoupling(Coupling):
         super().__post_init__()
         s = support_scale(self.source, self.target)
         gap = np.abs(self.row_barycenters() - self.source.atoms)
-        _gate(gap, BARYCENTER_TOL * s, "martingale barycenter violated at source atom")
-
-
-def _gate(gap: np.ndarray, tol: float, what: str, error: type = CouplingError) -> None:
-    """Raise error (CouplingError by default) naming the worst index of gap
-    when it exceeds tol."""
-    k = int(gap.argmax())
-    if gap[k] > tol:
-        raise error(f"{what} {k}: off by {gap[k]:.3e} (tol {tol:.3e})")
+        _gate(gap, BARYCENTER_TOL * s, "martingale barycenter violated at source atom", CouplingError)
 
 
 def build_martingale_coupling(eta: DiscreteMeasure, nu: DiscreteMeasure) -> MartingaleCoupling:
@@ -326,12 +321,8 @@ def decompose_martingale(mg: MartingaleCoupling) -> MartingaleDecomposition:
 
     where = comp[row_start.cumsum() - 1]
     fixed = where < 0
-    moves = fixed & (np.abs(tgt - src) > margin)
-    if moves.any():
-        k = int(moves.argmax())
-        raise StructureError(
-            f"entry {k}: source {float(src[k])} lies in the fixed set F but moves to {float(tgt[k])}"
-        )
+    _gate(np.where(fixed, np.abs(tgt - src), 0.0), margin,
+          "source lies in the fixed set F but moves at entry", StructureError)
     entry_order = where.argsort(kind="stable")
     split = np.bincount(where[~fixed], minlength=len(comps)).cumsum()
     entries = np.split(entry_order[int(fixed.sum()):], split[:-1])

@@ -56,6 +56,14 @@ def _freeze(obj, fields: dict) -> None:
         object.__setattr__(obj, name, value)
 
 
+def _gate(gap: np.ndarray, tol: float, what: str, error: type) -> None:
+    """The one array tolerance check: raise error naming the worst index of
+    gap, its value and tol when it exceeds tol."""
+    k = int(gap.argmax())
+    if gap[k] > tol:
+        raise error(f"{what} {k}: off by {gap[k]:.3e} (tol {tol:.3e})")
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Probability measure with finitely many atoms.
@@ -78,8 +86,7 @@ class DiscreteMeasure:
             raise ValueError("atoms and weights must have equal length")
         if atoms.size == 0:
             raise ValueError("a measure needs at least one atom")
-        if (weights < -1e-15).any():
-            raise ValueError("weights must be positive")
+        _gate(-weights, 1e-15, "weights must be positive: negative at atom", ValueError)
         keep = weights > 0.0
         if not keep.any():
             raise ValueError("all weights vanish")
@@ -298,11 +305,7 @@ def potential(m: DiscreteMeasure) -> PiecewiseLinearFn:
     fn = PiecewiseLinearFn(m.atoms, vals)
     offset = m.atoms - m.atoms[0]  # centred as in potential_at
     gap = np.abs(offset - np.dot(m.weights, offset)) - vals
-    if gap.max() > 1e-12 * support_scale(m):
-        k = int(np.argmax(gap))
-        raise ConsistencyError(
-            f"potential drops below |y - mean| by {gap[k]:.3e} at atom {k} ({m.atoms[k]!r})"
-        )
+    _gate(gap, 1e-12 * support_scale(m), "potential drops below |y - mean| at atom", ConsistencyError)
     return fn
 
 
@@ -602,8 +605,6 @@ def _drop_collinear(bp: np.ndarray, vals: np.ndarray):
     slopes = PiecewiseLinearFn.slope_chain(bp, vals)
     jump = np.diff(slopes)
     keep = jump > 1e-13
-    if not np.any(keep):
-        keep[np.argmax(jump)] = True
     return bp[keep], vals[keep]
 
 

@@ -24,6 +24,7 @@ from .measures import (
     ORDER_TOL,
     DiscreteMeasure,
     Intervals,
+    _gate,
     _mismatch,
     _order_check,
     _order_failure,
@@ -112,11 +113,8 @@ def _verify_reverse(mu, nu, nu_star, tilde, images, wts, t, cost, s) -> Interval
         raise ConsistencyError(
             f"value through nu* ({through!r}) differs from the direct value ({direct!r})"
         )
-    gap = np.abs(tilde(mu.atoms) - t)
-    if gap.max() > 1e-8 * s:
-        raise ConsistencyError(
-            f"reverse map deviates from the rearrangement on supp(mu) by {gap.max():.3e}"
-        )
+    _gate(np.abs(tilde(mu.atoms) - t), 1e-8 * s,
+          "reverse map deviates from the rearrangement on supp(mu) at atom", ConsistencyError)
     z = nu_star.atoms
     bad = slope1_violations(z, z, images, comps, 1e-9 * s, 1e-7 * s)
     if bad:

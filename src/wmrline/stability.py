@@ -20,6 +20,7 @@ from .measures import (
     _bin_barycenters,
     _csv,
     _freeze,
+    _gate,
     _order_failure,
     level_blocks,
     lowest_mass,
@@ -73,10 +74,8 @@ def eta_transfer(
     why = _order_failure(eta_k, nu_k, "eta_k", "nu_k", 1e-8)
     if why is not None:
         raise ConsistencyError(f"transferred measure is not below nu_k in convex order: {why}")
-    moved = np.abs(eta.atoms - R)
-    k, bound = int(moved.argmax()), wasserstein(nu, nu_k, 1.0) / float(eta.weights.min()) + tol
-    if moved[k] > bound:
-        raise ConsistencyError(f"per-atom transfer bound violated: atom {k} moved {moved[k]:.3e} (bound {bound:.3e})")
+    bound = wasserstein(nu, nu_k, 1.0) / float(eta.weights.min()) + tol
+    _gate(np.abs(eta.atoms - R), bound, "per-atom transfer bound violated at atom", ConsistencyError)
     for rho in (1.0, 2.0):
         w, w_k = wasserstein(eta, eta_k, rho), wasserstein(nu, nu_k, rho)
         if w > w_k + tol:

@@ -95,7 +95,8 @@ class TestExitCodes:
         lowered = wmrline.measures.potential_at
         monkeypatch.setattr(wmrline.measures, "potential_at", lambda m, y: lowered(m, y) - 1e-6)
         assert main(["potential", measure_files["b4"]]) == 1
-        assert "potential drops below |y - mean|" in capsys.readouterr().err
+        want = "error: potential drops below |y - mean| at atom 0: off by 1.000e-06 (tol 6.000e-12)\n"
+        assert capsys.readouterr().err == want
 
     def test_wide_offset_potential(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

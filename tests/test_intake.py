@@ -240,6 +240,11 @@ ERRORS = {
         "atoms and weights must have equal length",
     ),
     "vanishing weights": (lambda: DiscreteMeasure([0, 1], [0, 0]), ValueError, "all weights vanish"),
+    "negative weight": (
+        lambda: DiscreteMeasure([0.0, 1.0, 2.0], [0.6, -0.1, 0.5]),
+        ValueError,
+        "weights must be positive: negative at atom 1: off by 1.000e-01 (tol 1.000e-15)",
+    ),
     "coupling lengths": (
         lambda: Coupling(dm([0, 1]), dm([0, 1]), [0, 1], [0], [0.5, 0.5]),
         CouplingError,

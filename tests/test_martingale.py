@@ -380,7 +380,8 @@ class TestDecomposeMartingale:
         # the antitone swap has exact marginals but moves fixed-set mass
         nu = dm([-1, 1])
         bad = Coupling(nu, nu, np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5]))
-        with pytest.raises(StructureError):
+        want = r"^source lies in the fixed set F but moves at entry 0: off by 2\.000e\+00 \(tol 2\.000e-09\)$"
+        with pytest.raises(StructureError, match=want):
             decompose_martingale(bad)
 
 
@@ -869,6 +870,12 @@ class TestTwoPointProbe:
         mg = build_martingale_coupling(sol.pushforward, nu)
         imp = find_two_point_improvement(mu, sol.map(mu.atoms), mg, CostSpec.quadratic())
         assert imp is None
+
+    def test_in_order_displacements_are_skipped(self):
+        # the identity map displaces no atom, so no pair is out of order
+        mu = dm([0, 1, 2])
+        mg = build_martingale_coupling(mu, mu)
+        assert find_two_point_improvement(mu, mu.atoms, mg, CostSpec.quadratic()) is None
 
     def test_contracted_rearrangements_falsified(self, rng):
         found = 0

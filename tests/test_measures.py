@@ -129,6 +129,11 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             m.atoms[0] = 5.0
 
+    def test_equality_with_another_type_is_false(self):
+        m = dm([0.0, 1.0])
+        assert m.__eq__(0) is NotImplemented
+        assert (m == 0) is False and m != 0
+
 
 class TestMean:
     def test_dirac(self):

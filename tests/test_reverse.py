@@ -247,6 +247,50 @@ class TestReversePushCheck:
             _verify_reverse(mu, dm([0.0, 1.0]), mu, tilde, mu.atoms, np.array([0.25, 0.75]), None, None, 1.0)
 
 
+class TestReverseLaterChecks:
+    """The checks after the push: each call passes the checks before the one
+    it breaks, with the quadratic cost and scale 1."""
+
+    def test_order_failure_names_the_witness(self):
+        mu, nu_star = dm([-2, 2]), dm([-1, 1])
+        tilde = MonotoneMap.identity(nu_star.atoms)
+        want = r"^reverse solution: mu <=_c nu\* fails: u_mu - u_nu\* = 1\.000e\+00 at nu\*'s atom 0 \(-1\.0\)"
+        with pytest.raises(ConsistencyError, match=want):
+            _verify_reverse(mu, nu_star, nu_star, tilde, nu_star.atoms, nu_star.weights, None, None, 1.0)
+
+    def test_value_mismatch_names_both_values(self):
+        # nu* = nu = mu and identity images: the value through nu* is 0, the
+        # direct value of t = x + 1 is 1
+        mu = dm([0.0, 1.0])
+        args = (mu, mu, mu, MonotoneMap.identity(mu.atoms), mu.atoms, mu.weights)
+        want = r"^value through nu\* \(0\.0\) differs from the direct value \(1\.0\)$"
+        with pytest.raises(ConsistencyError, match=want):
+            _verify_reverse(*args, mu.atoms + 1.0, CostSpec.quadratic(), 1.0)
+
+    def test_map_deviation_names_the_atom_and_tolerance(self):
+        # both values are 0, but the reverse map sends supp(mu) half a unit off t
+        mu = dm([0.0, 1.0])
+        args = (mu, mu, mu, MonotoneMap(mu.atoms, mu.atoms + 0.5), mu.atoms, mu.weights)
+        want = (
+            r"^reverse map deviates from the rearrangement on supp\(mu\) "
+            r"at atom 0: off by 5\.000e-01 \(tol 1\.000e-08\)$"
+        )
+        with pytest.raises(ConsistencyError, match=want):
+            _verify_reverse(*args, mu.atoms, CostSpec.quadratic(), 1.0)
+
+    def test_slope_failure_names_the_interval(self):
+        # nu* has the inner atoms -1 and 1 in its one irreducible interval
+        # (-2, 2) with mu; their images 0 apart by 1 give slope 1/2; both
+        # values are 1/2
+        mu, nu_star = dirac(0.0), dm([-2, -1, 1, 2])
+        images = np.array([-2.0, -1.0, 0.0, 1.0])
+        t = np.array([0.5**0.5])
+        args = (mu, dm(images), nu_star, MonotoneMap([0.0], t), images, nu_star.weights, t)
+        want = r"^reverse map has slope 0\.500000 != 1 inside \(-2\.0, 2\.0\)$"
+        with pytest.raises(ConsistencyError, match=want):
+            _verify_reverse(*args, CostSpec.quadratic(), 1.0)
+
+
 class TestReverseClosedForm:
     def test_nu_star_is_the_shifted_quantile(self):
         # nu* is the law of F_nu^{-1}(U) + d(F_mu^{-1}(U)), d = x - T(x), and

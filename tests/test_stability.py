@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from wmrline import (
     wasserstein,
 )
 
-from wmrline import measures, stability
+from wmrline import martingale, measures, stability
 from wmrline.measures import _order_check, level_blocks
 from wmrline.stability import MAP_GAP_EPS, _map_gaps
 
@@ -69,9 +70,22 @@ class TestEtaTransfer:
         eta, nu = dirac(0.0), dm([-1, 1])
         real = stability.wasserstein
         monkeypatch.setattr(stability, "wasserstein", lambda a, b, rho: 0.0 if a is nu else real(a, b, rho))
-        want = r"^per-atom transfer bound violated: atom 0 moved 5\.000e-01 \(bound 2\.500e-09\)$"
+        want = r"^per-atom transfer bound violated at atom 0: off by 5\.000e-01 \(tol 2\.500e-09\)$"
         with pytest.raises(ConsistencyError, match=want):
             eta_transfer(eta, nu, nu.shift(0.5))
+
+    def test_order_failure_of_the_transfer_names_the_witness(self, monkeypatch):
+        # the coupling is a martingale by construction; a build that sends all
+        # of eta to nu's upper atom moves eta_k's mean off nu_k's
+        nu = dm([-1, 1])
+        upper = SimpleNamespace(rows=np.array([0]), cols=np.array([1]), mass=np.array([1.0]))
+        monkeypatch.setattr(martingale, "_left_curtain", lambda eta, nu: upper)
+        want = (
+            r"^transferred measure is not below nu_k in convex order: eta_k <=_c nu_k fails: "
+            r"mean\(eta_k\) - mean\(nu_k\) = 1\.000e\+00, above tol 2\.000e-08$"
+        )
+        with pytest.raises(ConsistencyError, match=want):
+            eta_transfer(dirac(0.0), nu, nu)
 
     def test_chain_bound_failure_names_the_margin(self, monkeypatch):
         # the bound holds by construction; W_rho(eta, eta_k) read 1 too high breaks it
