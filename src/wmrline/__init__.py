@@ -31,11 +31,8 @@ from .measures import (
     PiecewiseLinearFn,
     convex_order_leq,
     irreducible_components,
-    lower_convex_envelope,
     mean,
-    measure_from_potential,
     measures_close,
-    pl_max,
     potential,
     potential_at,
     pushforward,

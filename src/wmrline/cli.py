@@ -100,7 +100,7 @@ def _intervals_doc(intervals) -> np.ndarray:
 def cmd_potential(args, m):
     u = potential(m)
     if args.fmt == "csv":
-        return _csv("y,u", zip(u.breakpoints, u.values))
+        return _csv("y,u", zip(u.breakpoints.tolist(), u.values.tolist()))
     return {
         "schema": 1,
         "kind": "potential",

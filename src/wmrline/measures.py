@@ -547,79 +547,6 @@ def pushforward(m: DiscreteMeasure, values) -> DiscreteMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Piecewise-linear potential arithmetic (pointwise max, lower convex envelope)
-# ---------------------------------------------------------------------------
-
-
-def pl_max(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> PiecewiseLinearFn:
-    """Pointwise maximum of two convex PL functions with slopes -1/+1 at infinity."""
-    grid = np.union1d(f.breakpoints, g.breakpoints)
-    fv, gv = f(grid), g(grid)
-    # insert crossing points interior to segments where the sign of f-g flips
-    d = fv - gv
-    k = (d[:-1] * d[1:] < 0.0).nonzero()[0]
-    if k.size:
-        grid = np.union1d(grid, grid[k] + d[k] / (d[k] - d[k + 1]) * (grid[k + 1] - grid[k]))
-        fv, gv = f(grid), g(grid)
-    vals = np.maximum(fv, gv)
-    bp, vals = _drop_collinear(grid, vals)
-    return PiecewiseLinearFn(bp, vals)
-
-
-def lower_convex_envelope(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> PiecewiseLinearFn:
-    """Greatest convex function below both f and g (both convex, slopes -1/+1).
-
-    The lower hull of min(f, g) on the merged breakpoints: a crossing of f
-    and g is a concave kink of the minimum, so the envelope's vertices are
-    among the breakpoints, and both tails already have slope -1/+1.
-    """
-    grid = np.union1d(f.breakpoints, g.breakpoints)
-    vals = np.minimum(f(grid), g(grid))
-    hull = _lower_hull(grid, vals)
-    return PiecewiseLinearFn(*_drop_collinear(grid[hull], vals[hull]))
-
-
-def _lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Indices of the lower convex hull vertices of points sorted by x (strict
-    turns only); one monotone-chain pass, the first and last point included."""
-    hx, hy, idx = [], [], []
-    for k, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
-        while len(hx) >= 2:
-            cross = (hx[-1] - hx[-2]) * (yi - hy[-2]) - (xi - hx[-2]) * (hy[-1] - hy[-2])
-            if cross <= 0.0:  # middle point above or on the chord: drop it
-                hx.pop()
-                hy.pop()
-                idx.pop()
-            else:
-                break
-        hx.append(xi)
-        hy.append(yi)
-        idx.append(k)
-    return np.array(idx)
-
-
-def _drop_collinear(bp: np.ndarray, vals: np.ndarray):
-    """Remove breakpoints whose left and right slopes agree (within 1e-13)."""
-    if bp.size == 1:
-        return bp, vals
-    slopes = PiecewiseLinearFn.slope_chain(bp, vals)
-    jump = np.diff(slopes)
-    keep = jump > 1e-13
-    return bp[keep], vals[keep]
-
-
-def measure_from_potential(u: PiecewiseLinearFn) -> DiscreteMeasure:
-    """Recover the measure whose potential is u (weights = slope jumps / 2).
-
-    Slope jumps below 1e-11 are treated as collinearity noise and dropped;
-    the constructor renormalizes the remainder.
-    """
-    jumps = np.diff(u.slopes())
-    keep = jumps > 1e-11
-    return DiscreteMeasure(u.breakpoints[keep], jumps[keep] / 2.0)
-
-
-# ---------------------------------------------------------------------------
 # Measure CSV I/O: one "atom,weight" pair per line, header optional
 # ---------------------------------------------------------------------------
 

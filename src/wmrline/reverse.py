@@ -9,7 +9,9 @@ d(F_mu^{-1}(U)) for U uniform, and the reverse map sends each such point back
 to F_nu^{-1}(U). On each irreducible interval nu's mass thus moves by that
 interval's constant displacement, and on the contractive part nu* carries
 mu's atoms. The module also houses the convex-order map algebra (maxima,
-minima, residual comparisons) this construction rests on.
+minima, residual comparisons) this construction rests on; the maxima and
+minima are read off quantile integrals G(c) = int_0^c F^{-1}, as the solve
+is.
 """
 
 from __future__ import annotations
@@ -31,16 +33,13 @@ from .measures import (
     _slack_components,
     _witness_words,
     convex_order_leq,
-    lower_convex_envelope,
+    level_blocks,
     mean,
-    measure_from_potential,
-    pl_max,
-    potential,
     pushforward,
     quantiles_at,
     support_scale,
 )
-from .wmr import CostSpec, MonotoneMap, _rearrangement, _shape_check, slope1_violations
+from .wmr import CostSpec, MonotoneMap, _pooled_means, _rearrangement, _shape_check, slope1_violations
 
 SHAPE_TOL = 1e-9  # residual_order_check's slack on increase and 1-Lipschitz, times scale
 
@@ -142,21 +141,37 @@ def quantile_assignment(source: DiscreteMeasure, target: DiscreteMeasure) -> np.
 def convex_order_max_map(T: MonotoneMap, S: MonotoneMap, mu: DiscreteMeasure) -> MonotoneMap:
     """Increasing map R with R(mu) = T(mu) v S(mu) (convex-order maximum).
 
-    Requires equal pushforward means. The maximum measure is recovered from
-    the pointwise maximum of the two potential functions, and R is its
-    quantile-level assignment; if T and S are L-Lipschitz, so is R.
+    Requires T and S nondecreasing on mu's atoms and equal pushforward means.
+    The maximum's quantile integral G(c) = int_0^c F^{-1} is the greatest
+    convex minorant of min(G_T, G_S). On the block of mu's atom i, T(mu) and
+    S(mu) have quantiles t_i and s_i, so both integrals are partial sums over
+    mu's atoms, linear on each block, and the minorant's vertices sit at
+    mu's levels (a crossing inside a block is a concave kink). R's values,
+    the minorant's slopes on the blocks, are therefore the nondecreasing
+    pooled regression of the slopes of min(G_T, G_S) = G_S + min(D, 0), with
+    D = G_T - G_S the partial sums of w (t - s). R(mu) is verified to lie
+    above both T(mu) and S(mu); if T and S are L-Lipschitz, so is R.
     """
-    Tmu = T.push(mu)
-    Smu = S.push(mu)
-    s, gap = support_scale(Tmu, Smu), abs(mean(Tmu) - mean(Smu))
-    if gap > ORDER_TOL * s:
-        why = f"off by {gap:.3e} (tol {ORDER_TOL * s:.3e})"
+    t, s = T(mu.atoms), S(mu.atoms)
+    Tmu, Smu = pushforward(mu, t), pushforward(mu, s)
+    scale, gap = support_scale(Tmu, Smu), abs(mean(Tmu) - mean(Smu))
+    if gap > ORDER_TOL * scale:
+        why = f"off by {gap:.3e} (tol {ORDER_TOL * scale:.3e})"
         raise PreconditionError(f"map maximum needs equal pushforward means: {why}")
-    xi = measure_from_potential(pl_max(potential(Tmu), potential(Smu)))
-    values = quantile_assignment(mu, xi)
-    why = _mismatch(pushforward(mu, values), xi)
-    if why is not None:
-        raise ConsistencyError(f"no increasing map realizes the convex-order maximum: {why}")
+    if mu.n > 1:
+        for name, v in (("T", t), ("S", s)):
+            what = f"map maximum needs nondecreasing maps: {name} decreases after atom"
+            _gate(v[:-1] - v[1:], MERGE_TOL * scale, what, PreconditionError)
+    w, y0 = mu.weights, min(t[0], s[0])  # s is centred on y0, so wide offsets cancel
+    d = (w * (t - s)).cumsum()
+    d[-1] = 0.0  # the means agree
+    sums = w * (s - y0) + np.diff(np.minimum(d, 0.0), prepend=0.0)
+    values = y0 - _pooled_means(-sums, w)
+    Rmu = pushforward(mu, values)
+    for m, name in ((Tmu, "T(mu)"), (Smu, "S(mu)")):
+        why = _order_failure(m, Rmu, name, "R(mu)")
+        if why is not None:
+            raise ConsistencyError(f"the convex-order maximum is not above both: {why}")
     return MonotoneMap(mu.atoms, values)
 
 
@@ -169,17 +184,30 @@ def convex_order_min_with_maps(
     """Convex-order minimum of eta1, eta2 together with a map onto their
     common pushforward.
 
-    The minimum's potential is the lower convex envelope of the two input
-    potentials; the returned map is its quantile-level assignment onto nu,
-    verified to push exactly. L-Lipschitz inputs give an L-Lipschitz output.
+    The minimum's quantile integral G(c) = int_0^c F^{-1} is max(G_1, G_2),
+    convex as it is. On each block of level_blocks(eta1, eta2) both are
+    linear, with eta1's atom a and eta2's atom b as slopes, so with
+    D = G_1 - G_2 the block takes a where D > 0 and b where D < 0, split at
+    the level where D changes sign inside it. The returned map is the
+    minimum's quantile-level assignment onto nu, verified to push exactly.
+    L-Lipschitz inputs give an L-Lipschitz output.
     """
     nu1 = T1.push(eta1)
     nu2 = T2.push(eta2)
     why = _mismatch(nu1, nu2)
     if why is not None:
         raise PreconditionError(f"both maps must push onto the same measure: {why}")
-    env = lower_convex_envelope(potential(eta1), potential(eta2))
-    eta = measure_from_potential(env)
+    i, j, width = level_blocks(eta1, eta2)
+    a, b = eta1.atoms[i], eta2.atoms[j]
+    d = np.concatenate(([0.0], (width * (a - b)).cumsum()))
+    lo, hi = d[:-1], d[1:]
+    lead = (lo > 0.0) | ((lo == 0.0) & (hi >= 0.0))  # a holds the block's start
+    tail = (hi > 0.0) | ((hi == 0.0) & (lo >= 0.0))  # a holds its end
+    first = width.copy()
+    cut = (lead != tail).nonzero()[0]  # D changes sign inside these blocks
+    first[cut] *= lo[cut] / (lo[cut] - hi[cut])
+    atoms = np.column_stack((np.where(lead, a, b), np.where(tail, a, b))).ravel()
+    eta = DiscreteMeasure(atoms, np.column_stack((first, width - first)).ravel())
     values = quantile_assignment(eta, nu1)
     why = _mismatch(pushforward(eta, values), nu1)
     if why is not None:

@@ -242,12 +242,12 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     one of mu's, so the blocks stay a monotone coupling.
 
     Atom i's blocks have mass den_i and displacement sum num_i = sum width *
-    (y_j - x_i). Pool-adjacent violators merges two adjacent pools while the
-    earlier mean is below the later one (equal means stay apart), and t is x
-    plus its pool's mean: a ratio of sums over the pool, so no rounding of
-    global sums is divided by a tiny width. A lost atom's own block puts it
-    where a weight tending to 0 would: at its own displacement, clipped to
-    its neighbours' (so a lost last atom stays inside nu's hull).
+    (y_j - x_i). t is x plus the nonincreasing pooled regression of num / den
+    (_pooled_means): each pool's mean is a ratio of sums over the pool, so
+    no rounding of global sums is divided by a tiny width. A lost atom's own
+    block puts it where a weight tending to 0 would: at its own
+    displacement, clipped to its neighbours' (so a lost last atom stays
+    inside nu's hull).
     """
     x, y, cm, cn = mu.atoms, nu.atoms, mu.cumulative(), nu.cumulative()
     i, j, width = level_blocks(mu, nu)
@@ -262,17 +262,24 @@ def _rearrangement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     tol = 1e-12 * support_scale(mu, nu)
     if -slack.min() <= tol and abs(slack[-1]) <= tol:
         return x, slack, False, blocks
-    den = np.bincount(i, weights=width, minlength=mu.n).tolist()
-    sums, mass, size = [], [], []
-    for a, w in zip(num.tolist(), den):
-        k = 1
-        while sums and sums[-1] * w < a * mass[-1]:
-            a, w, k = a + sums.pop(), w + mass.pop(), k + size.pop()
-        sums.append(a)
-        mass.append(w)
-        size.append(k)
-    t = x + (np.array(sums) / np.array(mass)).repeat(size)
+    t = x + _pooled_means(num, np.bincount(i, weights=width, minlength=mu.n))
     return t, _level_slack(i, j, width, t, y), True, blocks
+
+
+def _pooled_means(sums: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The nonincreasing regression of sums / mass, weighted by the positive
+    mass, one value per entry: pool-adjacent violators merges two adjacent
+    pools while the earlier mean is below the later one (equal means stay
+    apart), and each entry gets its pool's ratio of sums."""
+    pooled, weight, size = [], [], []
+    for a, w in zip(sums.tolist(), mass.tolist()):
+        k = 1
+        while pooled and pooled[-1] * w < a * weight[-1]:
+            a, w, k = a + pooled.pop(), w + weight.pop(), k + size.pop()
+        pooled.append(a)
+        weight.append(w)
+        size.append(k)
+    return (np.array(pooled) / np.array(weight)).repeat(size)
 
 
 def solve_weak_transport(

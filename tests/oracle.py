@@ -1,14 +1,18 @@
-"""Independent oracles for the tests: a brute-force grid search for the solve
-and the Euclidean projection onto admissible maps by the dense QP.
+"""Independent oracles for the tests: a brute-force grid search for the solve,
+the Euclidean projection onto admissible maps by the dense QP, and the lower
+convex envelope of two potentials by a monotone-chain hull.
 
-Neither is part of the package: no solver, verifier or CLI subcommand uses
-them. Both read their constraints off wmr.transport_polyhedron.
+None is part of the package: no solver, verifier or CLI subcommand uses
+them. The grid search and the projection read their constraints off
+wmr.transport_polyhedron. The envelope is the convex-order minimum in the
+potential picture, on the potentials' breakpoints and values, against which
+the tests check convex_order_min_with_maps, built in quantile coordinates.
 """
 
 import numpy as np
 
 from wmrline import CostSpec, DiscreteMeasure, MonotoneMap, PreconditionError, SizeError, mean, qp
-from wmrline.measures import _as_1d
+from wmrline.measures import PiecewiseLinearFn, _as_1d
 from wmrline.wmr import transport_polyhedron
 
 
@@ -96,3 +100,45 @@ def project_admissible(values, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Mono
     b_in = np.concatenate((b_in[:k], -np.diff(mu.atoms), b_in[k:]))
     res = qp.solve_qp(eye, -z, A_eq, b_eq, A_in, b_in, np.full(mu.n, mean(nu)))
     return MonotoneMap(mu.atoms, res.x)
+
+
+def lower_convex_envelope(f: PiecewiseLinearFn, g: PiecewiseLinearFn) -> PiecewiseLinearFn:
+    """Greatest convex function below both f and g (both convex, slopes -1/+1).
+
+    The lower hull of min(f, g) on the merged breakpoints: a crossing of f
+    and g is a concave kink of the minimum, so the envelope's vertices are
+    among the breakpoints, and both tails already have slope -1/+1.
+    """
+    grid = np.union1d(f.breakpoints, g.breakpoints)
+    vals = np.minimum(f(grid), g(grid))
+    hull = _lower_hull(grid, vals)
+    return PiecewiseLinearFn(*_drop_collinear(grid[hull], vals[hull]))
+
+
+def _lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the lower convex hull vertices of points sorted by x (strict
+    turns only); one monotone-chain pass, the first and last point included."""
+    hx, hy, idx = [], [], []
+    for k, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        while len(hx) >= 2:
+            cross = (hx[-1] - hx[-2]) * (yi - hy[-2]) - (xi - hx[-2]) * (hy[-1] - hy[-2])
+            if cross <= 0.0:  # middle point above or on the chord: drop it
+                hx.pop()
+                hy.pop()
+                idx.pop()
+            else:
+                break
+        hx.append(xi)
+        hy.append(yi)
+        idx.append(k)
+    return np.array(idx)
+
+
+def _drop_collinear(bp: np.ndarray, vals: np.ndarray):
+    """Remove breakpoints whose left and right slopes agree (within 1e-13)."""
+    if bp.size == 1:
+        return bp, vals
+    slopes = PiecewiseLinearFn.slope_chain(bp, vals)
+    jump = np.diff(slopes)
+    keep = jump > 1e-13
+    return bp[keep], vals[keep]

@@ -19,7 +19,6 @@ from wmrline import (
     decompose_martingale,
     eta_transfer,
     find_two_point_improvement,
-    lower_convex_envelope,
     map_decomposition,
     mean,
     measures_close,
@@ -44,7 +43,7 @@ from wmrline.cli import main as cli_main
 from wmrline.cli import plot_segments
 
 from conftest import dirac, dm, random_measure, random_one_lipschitz_values, random_ordered_pair
-from oracle import oracle_solve, project_admissible
+from oracle import lower_convex_envelope, oracle_solve, project_admissible
 
 
 def report(num, label):

@@ -18,7 +18,6 @@ from wmrline import (
     eta_transfer,
     irreducible_components,
     mean,
-    measure_from_potential,
     measures_close,
     optimality_certificate,
     potential,
@@ -801,13 +800,6 @@ class TestQuantize:
             assert convex_order_leq(q, m)
             assert abs(mean(q) - mean(m)) < 1e-12 * support_scale(m)
             assert wasserstein(q, m, 1.0) <= delta
-
-
-class TestPotentialRoundTrip:
-    def test_measure_from_potential(self, rng):
-        for _ in range(20):
-            m = random_measure(rng)
-            assert measures_close(measure_from_potential(potential(m)), m, 1e-9)
 
 
 class TestCsv:

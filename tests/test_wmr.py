@@ -27,7 +27,6 @@ from wmrline import (
     weak_monotone_rearrangement,
 )
 from wmrline import measures, qp
-from wmrline.measures import _lower_hull
 from wmrline.wmr import kkt_residual, slope1_violations, transport_polyhedron
 
 from conftest import (
@@ -40,7 +39,7 @@ from conftest import (
     random_measure,
     spread_pair,
 )
-from oracle import oracle_solve, project_admissible
+from oracle import _lower_hull, oracle_solve, project_admissible
 
 COSTS = (CostSpec.quadratic(), CostSpec.quartic(), CostSpec.power(3.0))
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
