@@ -66,16 +66,26 @@ class Coupling:
             raise CouplingError("rows, cols and mass must have equal length")
         if (mass <= 0.0).any():
             raise CouplingError("all coupling masses must be positive")
-        r0, r1 = rows[:-1], rows[1:]
-        if (r0 > r1).any() or ((r0 == r1) & (cols[:-1] > cols[1:])).any():
-            # a stable lexsort of entries in (row, col) order is the identity
-            order = np.lexsort((cols, rows))
-            rows, cols, mass = rows[order], cols[order], mass[order]
+        order = np.lexsort((cols, rows))  # entries in (row, col) order
+        rows, cols, mass = rows[order], cols[order], mass[order]
         _freeze(self, {"rows": rows, "cols": cols, "mass": mass})
+        self._gates()
+
+    @classmethod
+    def _of(cls, source: DiscreteMeasure, target: DiscreteMeasure, rows, cols, mass) -> "Coupling":
+        """The coupling of new int64 rows and cols, in range and (row, col)
+        order, and new positive masses: _gates without the intake."""
+        self = object.__new__(cls)
+        _freeze(self, {"source": source, "target": target, "rows": rows, "cols": cols, "mass": mass})
+        self._gates()
+        return self
+
+    def _gates(self) -> None:
+        """Both constructors' gates: indices in range, marginals (and barycenters)."""
         n, m = self.source.n, self.target.n
         try:  # bincount rejects a negative index, and one past the end lengthens its output
-            rs = np.bincount(rows, weights=mass, minlength=n)
-            cs = np.bincount(cols, weights=mass, minlength=m)
+            rs = np.bincount(self.rows, weights=self.mass, minlength=n)
+            cs = np.bincount(self.cols, weights=self.mass, minlength=m)
             if rs.size > n or cs.size > m:
                 raise ValueError
         except ValueError:
@@ -108,8 +118,8 @@ class Coupling:
 class MartingaleCoupling(Coupling):
     """Coupling whose conditional barycenters equal their source atoms."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _gates(self) -> None:
+        super()._gates()
         s = support_scale(self.source, self.target)
         gap = np.abs(self.row_barycenters() - self.source.atoms)
         _gate(gap, BARYCENTER_TOL * s, "martingale barycenter violated at source atom", CouplingError)
@@ -221,6 +231,7 @@ def _left_curtain(eta: DiscreteMeasure, nu: DiscreteMeasure) -> MartingaleCoupli
             took.append((ka, min(take_a, a)))
         if kb:
             took.append((kb, min(take_b, b)))
+        took.sort()  # by node, so the entries come in (row, col) order
         for k, t in took:
             left[k] -= t
             if left[k] == 0.0:
@@ -229,7 +240,7 @@ def _left_curtain(eta: DiscreteMeasure, nu: DiscreteMeasure) -> MartingaleCoupli
                 rows.append(i)
                 cols.append(k - 1)
                 mass.append(t)
-    return MartingaleCoupling(eta, nu, rows, cols, mass)
+    return MartingaleCoupling._of(eta, nu, np.array(rows, np.int64), np.array(cols, np.int64), np.array(mass))
 
 
 def compose_with_map(mu: DiscreteMeasure, map_: MonotoneMap, mg: Coupling) -> Coupling:
@@ -251,14 +262,14 @@ def compose_with_map(mu: DiscreteMeasure, map_: MonotoneMap, mg: Coupling) -> Co
     got = np.bincount(pos, weights=mu.weights, minlength=mg.source.n)
     _gate(np.abs(got - mg.source.weights), 1e-9, "pushforward weights do not match mg.source at atom", CompositionError)
 
-    # mg's entries are sorted by row, so image row pos[i] is the run of
-    # count[i] entries from start[i]
+    # mg's entries are sorted by row, then column, so image row pos[i] is the
+    # run of count[i] entries from start[i], and the result comes in order
     count = np.bincount(mg.rows, minlength=mg.source.n)[pos]
     start = mg.rows.searchsorted(pos)
     rows_out = np.arange(mu.n).repeat(count)
     idx = (start - count.cumsum() + count).repeat(count) + np.arange(rows_out.size)
     share = mu.weights / mg.source.weights[pos]
-    return Coupling(mu, mg.target, rows_out, mg.cols[idx], mg.mass[idx] * share[rows_out])
+    return Coupling._of(mu, mg.target, rows_out, mg.cols[idx], mg.mass[idx] * share[rows_out])
 
 
 # ---------------------------------------------------------------------------

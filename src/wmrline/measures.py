@@ -16,6 +16,11 @@ S is linear minus convex, hence concave, between a's cumulative levels, so
 its minimum sits at one of them: the order slack at a's levels, formed in
 one O(n + m) pass over level_blocks(a, b), gives the verdict, its witness
 and the irreducible intervals.
+
+Intake: public constructors validate a caller's arrays (copy, shape,
+finiteness, signs, ranges); arrays the library has just built enter through
+each class's _of, which trusts them but runs the same structural checks (a
+measure's sort, merge and sum; a coupling's gates): the same bytes and errors.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ def _as_1d(x) -> np.ndarray:
     a = np.array(x, dtype=float, ndmin=1)
     if a.ndim != 1:
         raise ValueError("expected a 1-D array of reals")
+    return _finite(a)
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a itself, once every entry is checked finite."""
     if not np.isfinite(a).all():
         raise ValueError("entries must be finite")
     return a
@@ -90,7 +100,18 @@ class DiscreteMeasure:
         keep = weights > 0.0
         if not keep.any():
             raise ValueError("all weights vanish")
-        atoms, weights = atoms[keep], weights[keep]
+        self._settle(atoms[keep], weights[keep])
+
+    @classmethod
+    def _of(cls, atoms: np.ndarray, weights: np.ndarray) -> "DiscreteMeasure":
+        """The measure of new atoms (frozen, and kept if in order), checked
+        finite, and a valid measure's weights: _settle without the intake."""
+        self = object.__new__(cls)
+        self._settle(_finite(atoms), weights)
+        return self
+
+    def _settle(self, atoms: np.ndarray, weights: np.ndarray) -> None:
+        """Both constructors' body: sort, merge close atoms, check the sum, renormalise."""
         gaps = atoms[1:] - atoms[:-1]
         if (gaps < 0.0).any():  # a stable argsort of sorted atoms is the identity
             order = atoms.argsort(kind="stable")
@@ -124,7 +145,7 @@ class DiscreteMeasure:
         return self._levels
 
     def shift(self, h: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.atoms + float(h), self.weights)
+        return DiscreteMeasure._of(self.atoms + float(h), self.weights)
 
     def __eq__(self, other):
         if not isinstance(other, DiscreteMeasure):
@@ -165,8 +186,10 @@ def _merge_close(atoms: np.ndarray, weights: np.ndarray, gaps: np.ndarray, tol: 
 
 def support_scale(*measures: DiscreteMeasure) -> float:
     """max(1, diameter of the joint support) — the unit for tolerances."""
-    lo = min(float(m.atoms[0]) for m in measures)
-    hi = max(float(m.atoms[-1]) for m in measures)
+    lo, hi = np.inf, -np.inf  # a plain loop over Python floats: it runs in every gate
+    for m in measures:
+        a, b = m.atoms.item(0), m.atoms.item(-1)
+        lo, hi = (a if a < lo else lo), (b if b > hi else hi)
     return max(1.0, hi - lo)
 
 
@@ -544,6 +567,11 @@ def pushforward(m: DiscreteMeasure, values) -> DiscreteMeasure:
     if (values == m.atoms).all():
         return m
     return DiscreteMeasure(values, m.weights)
+
+
+def _push(m: DiscreteMeasure, values: np.ndarray) -> DiscreteMeasure:
+    """pushforward(m, values) of new values that the caller no longer writes."""
+    return m if (values == m.atoms).all() else DiscreteMeasure._of(values, m.weights)
 
 
 # ---------------------------------------------------------------------------

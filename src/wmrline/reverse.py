@@ -30,12 +30,12 @@ from .measures import (
     _mismatch,
     _order_check,
     _order_failure,
+    _push,
     _slack_components,
     _witness_words,
     convex_order_leq,
     level_blocks,
     mean,
-    pushforward,
     quantiles_at,
     support_scale,
 )
@@ -78,8 +78,8 @@ def reverse_optimizer(
     tol = MERGE_TOL * max(1.0, float(pos[-1] - pos[0]))
     start = np.concatenate(([True], pos[1:] - pos[:-1] > tol)).nonzero()[0]
     pos, img, wts = pos[start], img[start], np.add.reduceat(width[order], start)
-    nu_star = DiscreteMeasure(pos, wts)
-    tilde = MonotoneMap(pos, img)
+    nu_star = DiscreteMeasure._of(pos, wts)  # pos is sorted and merged: its atoms are pos
+    tilde = MonotoneMap._of(nu_star.atoms, img)
 
     comps = _verify_reverse(mu, nu, nu_star, tilde, img, wts, t, cost, support_scale(mu, nu))
     val = float(np.dot(nu_star.weights, cost.value(nu_star.atoms - img)))
@@ -153,7 +153,7 @@ def convex_order_max_map(T: MonotoneMap, S: MonotoneMap, mu: DiscreteMeasure) ->
     above both T(mu) and S(mu); if T and S are L-Lipschitz, so is R.
     """
     t, s = T(mu.atoms), S(mu.atoms)
-    Tmu, Smu = pushforward(mu, t), pushforward(mu, s)
+    Tmu, Smu = _push(mu, t), _push(mu, s)
     scale, gap = support_scale(Tmu, Smu), abs(mean(Tmu) - mean(Smu))
     if gap > ORDER_TOL * scale:
         why = f"off by {gap:.3e} (tol {ORDER_TOL * scale:.3e})"
@@ -167,12 +167,12 @@ def convex_order_max_map(T: MonotoneMap, S: MonotoneMap, mu: DiscreteMeasure) ->
     d[-1] = 0.0  # the means agree
     sums = w * (s - y0) + np.diff(np.minimum(d, 0.0), prepend=0.0)
     values = y0 - _pooled_means(-sums, w)
-    Rmu = pushforward(mu, values)
+    Rmu = _push(mu, values)
     for m, name in ((Tmu, "T(mu)"), (Smu, "S(mu)")):
         why = _order_failure(m, Rmu, name, "R(mu)")
         if why is not None:
             raise ConsistencyError(f"the convex-order maximum is not above both: {why}")
-    return MonotoneMap(mu.atoms, values)
+    return MonotoneMap._of(mu.atoms, values)
 
 
 def convex_order_min_with_maps(
@@ -188,8 +188,9 @@ def convex_order_min_with_maps(
     convex as it is. On each block of level_blocks(eta1, eta2) both are
     linear, with eta1's atom a and eta2's atom b as slopes, so with
     D = G_1 - G_2 the block takes a where D > 0 and b where D < 0, split at
-    the level where D changes sign inside it. The returned map is the
-    minimum's quantile-level assignment onto nu, verified to push exactly.
+    the level where D changes sign inside it; a sliver of the levels' rounding
+    joins its neighbour. The returned map is the minimum's quantile-level
+    assignment onto nu, verified to push exactly.
     L-Lipschitz inputs give an L-Lipschitz output.
     """
     nu1 = T1.push(eta1)
@@ -207,12 +208,17 @@ def convex_order_min_with_maps(
     cut = (lead != tail).nonzero()[0]  # D changes sign inside these blocks
     first[cut] *= lo[cut] / (lo[cut] - hi[cut])
     atoms = np.column_stack((np.where(lead, a, b), np.where(tail, a, b))).ravel()
-    eta = DiscreteMeasure(atoms, np.column_stack((first, width - first)).ravel())
+    pieces = np.column_stack((first, width - first)).ravel()
+    # a piece lighter than 1e-14 and every input weight is a sliver of the
+    # levels' rounding: it takes the atom of the heavy piece before it (after it, if first)
+    heavy = pieces >= min(1e-14, eta1.weights.min(), eta2.weights.min())
+    src = np.maximum.accumulate(np.where(heavy, np.arange(heavy.size), heavy.argmax()))
+    eta = DiscreteMeasure(atoms[src], pieces)
     values = quantile_assignment(eta, nu1)
-    why = _mismatch(pushforward(eta, values), nu1)
+    why = _mismatch(_push(eta, values), nu1)
     if why is not None:
         raise ConsistencyError(f"no increasing map pushes the minimum onto nu: {why}")
-    return eta, MonotoneMap(eta.atoms, values)
+    return eta, MonotoneMap._of(eta.atoms, values)
 
 
 def residual_order_check(
@@ -235,11 +241,11 @@ def residual_order_check(
             raise PreconditionError(f"maps must be increasing on the atoms: {viol[0]}")
         if not lip:
             raise PreconditionError(f"maps must be 1-Lipschitz on the atoms: {viol[0]}")
-    pushed = (pushforward(eta2, t2), pushforward(eta1, t1), "T2(eta2)", "T1(eta1)")
+    pushed = (_push(eta2, t2), _push(eta1, t1), "T2(eta2)", "T1(eta1)")
     for a, b, na, nb in ((eta1, eta2, "eta1", "eta2"), pushed):
         why = _order_failure(a, b, na, nb)
         if why is not None:
             raise PreconditionError(f"need {na} <=_c {nb}: {why}")
-    res1 = pushforward(eta1, eta1.atoms - t1)
-    res2 = pushforward(eta2, eta2.atoms - t2)
+    res1 = _push(eta1, eta1.atoms - t1)
+    res2 = _push(eta2, eta2.atoms - t2)
     return convex_order_leq(res1, res2)

@@ -68,7 +68,7 @@ def eta_transfer(
     R = np.bincount(M.rows, weights=M.mass * cond_mean[M.cols], minlength=eta.n)
     R /= eta.weights
     R += ref
-    eta_k = DiscreteMeasure(R, eta.weights)
+    eta_k = DiscreteMeasure._of(R, eta.weights)
 
     tol = 1e-9 * support_scale(eta, nu, nu_k)
     why = _order_failure(eta_k, nu_k, "eta_k", "nu_k", 1e-8)

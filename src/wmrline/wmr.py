@@ -37,14 +37,15 @@ from .measures import (
     DiscreteMeasure,
     Intervals,
     _as_1d,
+    _finite,
     _freeze,
     _level_slack,
     _order_failure,
+    _push,
     _slack_components,
     interval_index,
     level_blocks,
     mean,
-    pushforward,
     support_scale,
 )
 
@@ -131,14 +132,19 @@ class MonotoneMap:
         x, t = _as_1d(self.knots_x), _as_1d(self.knots_t)
         if x.size == 0 or x.shape != t.shape:
             raise ValueError("knots need equal, positive length")
-        dx = x[1:] - x[:-1]
-        if (dx < 0.0).any():  # a stable argsort of sorted knots is the identity
-            order = x.argsort(kind="stable")
-            x, t = x[order], t[order]
-            dx = x[1:] - x[:-1]
-        if (dx <= 0).any():
+        order = x.argsort(kind="stable")
+        x, t = x[order], t[order]
+        if (x[1:] <= x[:-1]).any():
             raise ValueError("knot positions must be strictly increasing")
         _freeze(self, {"knots_x": x, "knots_t": t})
+
+    @classmethod
+    def _of(cls, x: np.ndarray, t: np.ndarray) -> "MonotoneMap":
+        """The map with knots at a measure's atoms x (read-only, increasing)
+        and new values t, checked finite, without the intake's copies."""
+        self = object.__new__(cls)
+        _freeze(self, {"knots_x": x, "knots_t": _finite(t)})
+        return self
 
     @classmethod
     def identity(cls, points) -> "MonotoneMap":
@@ -149,7 +155,7 @@ class MonotoneMap:
         return np.interp(y.reshape(1) if y.ndim == 0 else y, self.knots_x, self.knots_t)
 
     def push(self, m: DiscreteMeasure) -> DiscreteMeasure:
-        return pushforward(m, self(m.atoms))
+        return _push(m, self(m.atoms))
 
 
 @dataclass(frozen=True)
@@ -307,10 +313,10 @@ def solve_weak_transport(
         residual = _kkt_parts(mu, nu, t, slack, certified)
 
     value = float(np.dot(p, cost.value(x - t)))
-    push = pushforward(mu, t)
+    push = _push(mu, t)
     irre = _slack_components(slack, mu, nu, ORDER_TOL * support_scale(push, nu))
     return WeakSolution(
-        map=MonotoneMap(x, t),
+        map=MonotoneMap._of(x, t),
         pushforward=push,
         value=value,
         irreducibles=irre,
@@ -371,7 +377,7 @@ def _admissibility(t, mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float) -> A
     """verify_admissible of the map's values t on mu's atoms."""
     x = mu.atoms
     monotone, lip, viol = _shape_check(x, t, tol * support_scale(mu, nu))
-    push, order_tol = pushforward(mu, t), max(ORDER_TOL, tol)
+    push, order_tol = _push(mu, t), max(ORDER_TOL, tol)
     why = _order_failure(push, nu, "T(mu)", "nu", order_tol)
     ordered = why is None
     if not ordered:

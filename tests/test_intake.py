@@ -5,6 +5,8 @@ TailTrim take every float array through measures._as_1d (a new 1-D array of
 finite floats) and store it read-only through measures._freeze, which is also
 their __setstate__, so a pickled or copied object stays frozen; a
 MartingaleDecomposition freezes the index arrays inside its components too.
+The arrays the library builds itself skip that intake through each class's
+_of, which must give the public constructor's bytes and error words.
 The table at the end checks the type and the message of the constructors'
 other errors.
 """
@@ -14,6 +16,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmrline import (
     CostSpec,
@@ -30,16 +34,21 @@ from wmrline import (
     PiecewiseLinearFn,
     TailTrim,
     build_martingale_coupling,
+    compose_with_map,
     decompose_martingale,
     find_two_point_improvement,
     finite_support_approx,
     parse_coupling_csv,
     pushforward,
+    solve_weak_transport,
+    support_scale,
     wasserstein,
 )
+from wmrline.martingale import BARYCENTER_TOL
+from wmrline.measures import MERGE_TOL, _push
 from wmrline.wmr import kkt_residual
 
-from conftest import dirac, dm
+from conftest import dirac, dm, mix_pair
 from oracle import project_admissible
 
 NAN, INF = float("nan"), float("inf")
@@ -223,6 +232,106 @@ class TestNonFiniteValues:
     def test_evaluation_points_keep_nan_in_nan_out(self):
         out = MonotoneMap([0.0, 1.0], [0.0, 1.0])([NAN, 0.5])
         assert np.isnan(out[0]) and out[1] == 0.5
+
+    def test_solve_whose_map_overflows(self):
+        # the spans overflow: the constructor keeps each pair as one atom at
+        # inf, and the map's values are NaN; the solve's map refuses them
+        # before the pushforward takes them
+        with np.errstate(all="ignore"):
+            mu = DiscreteMeasure([-1.5e308, 1.5e308], [0.5, 0.5])
+            nu = DiscreteMeasure([-1e308, 1e308], [0.5, 0.5])
+            with pytest.raises(ValueError, match="^entries must be finite$"):
+                solve_weak_transport(mu, nu)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_public_pushforward_and_martingale_coupling(self, bad):
+        # the library's own results skip the intake, what a caller passes does
+        # not; TestIntake covers MonotoneMap and Coupling
+        mu = dm([0, 1])
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            pushforward(mu, [0.5, bad])
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            MartingaleCoupling(mu, mu, [0, 1], [0, 1], [0.5, bad])
+
+
+def _images(rng, n):
+    """n nondecreasing images, except where a step decreases by one ulp (as
+    rounding leaves it); others repeat a value or land within the merge
+    tolerance of it."""
+    t = np.sort(rng.uniform(-2.0, 2.0, n))
+    for k, kind in enumerate(rng.integers(0, 4, n - 1).tolist(), start=1):
+        if kind == 0:
+            t[k] = np.nextafter(t[k - 1], -INF)
+        elif kind == 1:
+            t[k] = t[k - 1]
+        elif kind == 2:
+            t[k] = t[k - 1] + float(rng.uniform(0.0, 2.0)) * MERGE_TOL * 4.0
+    return t
+
+
+def _outcome(make):
+    """The bytes of each array field of what make() builds, or the type and
+    words of the error it raises."""
+    try:
+        obj = make()
+    except (ValueError, CouplingError) as err:
+        return type(err), str(err)
+    return {k: (v.dtype.str, v.tobytes()) for k, v in array_fields(obj).items()}
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestLibraryConstructors:
+    """Each _of runs its public constructor's structural body on arrays the
+    library made, so both give the same bytes, or the same error words."""
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_measure_and_map(self, seed, n):
+        rng = np.random.default_rng(seed)
+        mu = DiscreteMeasure(np.sort(rng.uniform(-3.0, 3.0, n)), rng.dirichlet(np.ones(n)))
+        t = _images(rng, n)
+        assert _outcome(lambda: DiscreteMeasure._of(t.copy(), mu.weights)) == _outcome(
+            lambda: DiscreteMeasure(t, mu.weights)
+        )
+        assert _outcome(lambda: _push(mu, t.copy())) == _outcome(lambda: pushforward(mu, t))
+        assert _outcome(lambda: MonotoneMap._of(mu.atoms, t.copy())) == _outcome(lambda: MonotoneMap(mu.atoms, t))
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 25), m=st.integers(1, 25))
+    def test_solve_results(self, seed, n, m):
+        mu, nu = mix_pair(np.random.default_rng(seed), n, m)
+        sol = solve_weak_transport(mu, nu)
+        t = sol.map.knots_t
+        assert _outcome(lambda: sol.pushforward) == _outcome(lambda: pushforward(mu, t))
+        assert _outcome(lambda: sol.map) == _outcome(lambda: MonotoneMap(mu.atoms, t))
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 25), m=st.integers(1, 25), bump=st.floats(1e-6, 1.0))
+    def test_couplings(self, seed, n, m, bump):
+        # the left-curtain coupling and its composition with the map, as
+        # built and with their heaviest mass bumped, through either class
+        mu, nu = mix_pair(np.random.default_rng(seed), n, m)
+        sol = solve_weak_transport(mu, nu)
+        mg = build_martingale_coupling(sol.pushforward, nu)
+        pi = compose_with_map(mu, sol.map, mg)
+        for c in (mg, pi):
+            k = int(c.mass.argmax())
+            bumped = c.mass.copy()
+            bumped[k] += bump
+            for cls in (Coupling, MartingaleCoupling):
+                for mass in (c.mass, bumped):
+                    got = _outcome(lambda: cls._of(c.source, c.target, c.rows.copy(), c.cols.copy(), mass.copy()))
+                    assert got == _outcome(lambda: cls(c.source, c.target, c.rows, c.cols, mass))
+            assert got[1].startswith(f"row sums do not match the source weights at atom {c.rows[k]}: ")
+        # the composed coupling is a martingale only where the map moves no atom
+        got = _outcome(lambda: MartingaleCoupling._of(mu, nu, pi.rows.copy(), pi.cols.copy(), pi.mass.copy()))
+        moved = np.abs(sol.map.knots_t - mu.atoms).max() > BARYCENTER_TOL * support_scale(mu, nu)
+        if moved:
+            assert got[0] is CouplingError and got[1].startswith("martingale barycenter violated at source atom ")
+        else:
+            assert isinstance(got, dict)
 
 
 def _coupling_with_an_empty_row():

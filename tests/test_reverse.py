@@ -532,6 +532,19 @@ class TestLatticeOnValidInput:
                     raised[name, type(err).__name__] += 1
         assert dict(raised) == {}
 
+    def test_min_has_no_sliver_atoms(self):
+        # blocks that rounding of the two inputs' levels leaves, about 1e-17
+        # wide, became atoms of the minimum of their own in 77 of these pairs;
+        # each now merges into a heavier neighbour
+        slivers = []
+        for k, (mu, nu) in enumerate(four_family_pairs(np.random.default_rng(31), 420)):
+            T, _, eta2, T2 = lattice_case(mu, nu)
+            eta, Tstar = convex_order_min_with_maps(mu, T, eta2, T2)
+            floor = min(1e-14, mu.weights.min(), eta2.weights.min())
+            slivers += [(k, float(w)) for w in eta.weights[eta.weights < floor]]
+            assert measures_close(Tstar.push(eta), T.push(mu), 1e-9)
+        assert slivers == []
+
     @pytest.mark.parametrize("pair", ["mix", "empirical"])
     def test_north_star_pairs(self, pair):
         # each of the four calls raised through potentials stored at breakpoints
